@@ -8,16 +8,14 @@ oracle for verification.
 """
 
 from .combinatorics import (SimplePolytopeData, SimplicialComplexData,
-                            automorphisms, cube_embedding_faces, dual_complex,
-                            enumerate_faces, face_poset, isomorphisms,
-                            minimal_non_faces, simple_polytope,
-                            simplicial_complex)
+                            automorphisms, dual_complex, enumerate_faces,
+                            face_poset, isomorphisms, minimal_non_faces,
+                            simple_polytope, simplicial_complex)
 from .intlat import (AbelianGroupInvariants, SmithDecomposition,
                      hermite_row_form, is_primitive, kernel_basis,
                      maximal_minor_gcd, smith_normal_form, solve_integer)
 from .charpair import (CharacteristicMatrix, QuaternionicIsotropyFunctor,
-                       canonical_model_table, characteristic_matrix,
-                       from_columns, isotropy_functor,
+                       characteristic_matrix, from_columns, isotropy_functor,
                        validate_characteristic_pair, validate_global,
                        validate_quaternionic_functor)
 from .moment_angle import (COMPLEX, QUATERNIONIC, build_cell_model, dimension,
@@ -26,7 +24,7 @@ from .cohomology import (facet_class, graded_component, multiply,
                          quasitoric_presentation, sr_presentation,
                          total_chern_class)
 from .bundles import (kernel_chern_classes, kernel_sequence,
-                      quaternionic_primary_tuple, verify_chern_basis)
+                      quaternionic_primary_tuple)
 from .classify import (compare_kernel_bundles, equivalent_pairs,
                        rigidity_verdict_complex, rigidity_verdict_quaternionic)
 

@@ -72,8 +72,7 @@ def kernel_chern_classes(p, lam, diagnostics=False):
     Hopf-model bundle.
     """
     pres = quasitoric_presentation(p, lam)
-    kernel, _section = kernel_sequence(lam)
-    a = kernel.a
+    a = intlat.kernel_basis(lam.rows())  # the validated pair is surjective
     r = len(a)
     m = lam.m
     facet_coords = [list(facet_class(pres, i).coordinates) for i in range(1, m + 1)]
@@ -101,16 +100,6 @@ def kernel_chern_classes(p, lam, diagnostics=False):
         diag = [CohomologyClass(2, tuple(row)) for row in contracted]
     return ChernTuple(classes=classes, basis_flag=basis_flag,
                       contracted_classes=diag)
-
-
-def verify_chern_basis(tup, pres):
-    """True iff the tuple is a Z-basis of the degree-2 component."""
-    comp = pres.component(2)
-    mat = tup.coordinate_matrix()
-    r = len(mat)
-    return (comp.invariants.free_rank == r
-            and not comp.invariants.torsion
-            and (r == 0 or abs(intlat.det(mat)) == 1))
 
 
 @dataclass

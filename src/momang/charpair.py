@@ -105,23 +105,6 @@ def validate_characteristic_pair(p, lam):
     )
 
 
-@dataclass
-class CanonicalModelTable:
-    """Per face of the polytope, the generator columns of its isotropy subtorus."""
-
-    rows: list  # list of (face tuple, generator matrix n x |face|)
-
-
-def canonical_model_table(p, lam):
-    report = validate_characteristic_pair(p, lam)
-    if not report.valid:
-        raise ValidationError("invalid pair: " + "; ".join(report.failures))
-    rows = []
-    for face, _codim in face_poset(p):
-        rows.append((face, lam.columns(face)))
-    return CanonicalModelTable(rows=rows)
-
-
 @dataclass(frozen=True)
 class QuaternionicIsotropyFunctor:
     """Per-facet coordinate label sets inside an acting universe 1..n_act."""

@@ -1,22 +1,22 @@
 """Decision procedures for equivariant-homeomorphism questions.
 
-Two characteristic pairs over the same polytope are equivalent when one
-matrix is carried to the other by a unimodular base change, a symmetry
-of the dual complex, and per-facet signs; the search anchors on a fixed
-vertex, solves for the base change, and verifies it columnwise.  Kernel
+Two characteristic pairs are equivalent when one matrix is carried to
+the other by a unimodular base change, an isomorphism of the dual
+complexes, and per-facet signs; the search anchors on a fixed vertex,
+solves for the base change, and verifies it columnwise.  Kernel
 bundles are compared as sublattices of the degree-2 component, which is
 exactly equivalence up to reparametrizing the kernel torus.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 
 from . import intlat
-from .bundles import kernel_chern_classes
 from .charpair import (from_columns, validate_characteristic_pair,
                        validate_quaternionic_functor)
-from .combinatorics import automorphisms, dual_complex, isomorphisms
-from .errors import BudgetError, IncomparableError, ValidationError
+from .combinatorics import dual_complex, isomorphisms
+from .errors import IncomparableError, ValidationError
 
 LEVEL_EQUIVALENT = "equivalent"
 LEVEL_INEQUIVALENT = "inequivalent"
@@ -29,12 +29,14 @@ LEVEL_INCOMPARABLE = "incomparable"
 class EquivalenceCertificate:
     """Witness that lam2 = delta . lam . P_sigma . D_signs.
 
-    `sigma` maps facet i of the first pair to facet sigma[i-1] of the
-    second; `signs[i-1]` is the sign applied to column i.
+    `sigma` maps facet i of the first polytope to facet sigma[i-1] of the
+    second polytope as given, so `apply(lam)` returns lam2 itself;
+    `signs[i-1]` is the sign applied to column i.  The certificate is the
+    whole proof: no kernel-bundle recheck is run on it.
     """
 
     delta: list   # unimodular n x n
-    sigma: tuple  # facet permutation, 1-based images
+    sigma: tuple  # facet bijection, 1-based images
     signs: tuple  # entries +-1, per facet of the first pair
 
     def apply(self, lam):
@@ -45,7 +47,7 @@ class EquivalenceCertificate:
             cols[self.sigma[i - 1] - 1] = [self.signs[i - 1] * x for x in vec]
         return from_columns(cols)
 
-    def inverse(self, n):
+    def inverse(self):
         delta_inv = intlat.inverse_unimodular(self.delta)
         m = len(self.sigma)
         sigma_inv = [0] * m
@@ -65,7 +67,7 @@ class RigidityVerdict:
 
 
 def _certificate_search(p, lam, lam2, sigmas):
-    """Anchor-vertex search over the given facet permutations."""
+    """Anchor-vertex search over the given facet bijections onto lam2's polytope."""
     n = p.dim
     anchor = min(tuple(sorted(v)) for v in p.vertices)
     m1 = lam.columns(anchor)
@@ -102,15 +104,10 @@ def _certificate_search(p, lam, lam2, sigmas):
 
 def equivalent_pairs(p, lam, lam2, bound=12):
     """Certificate for equivalence of two pairs over the same polytope, or None."""
-    for cand in (lam, lam2):
-        report = validate_characteristic_pair(p, cand)
-        if not report.valid:
-            raise ValidationError("invalid pair: " + "; ".join(report.failures))
-    k = dual_complex(p)
-    return _certificate_search(p, lam, lam2, automorphisms(k, bound=bound))
+    return rigidity_verdict_complex(p, lam, p, lam2, bound=bound).certificate
 
 
-def compare_kernel_bundles(t, t2, pres=None):
+def compare_kernel_bundles(t, t2):
     """True iff the two tuples generate the same sublattice of degree 2."""
     m1 = t.coordinate_matrix()
     m2 = t2.coordinate_matrix()
@@ -124,63 +121,55 @@ def compare_kernel_bundles(t, t2, pres=None):
 def rigidity_verdict_complex(p, lam, p2, lam2, bound=12):
     """Full verdict for two complex inputs.
 
-    Equivalent iff the dual complexes are isomorphic and some
-    identification admits an equivalence certificate; the kernel-bundle
-    sublattice comparison is then run as a consistency assertion, since
-    equivalent pairs determine isomorphic bundles.
+    Equivalent iff some isomorphism of the dual complexes admits an
+    equivalence certificate.  The isomorphisms already include every
+    isomorphism composed with a symmetry, so they are searched once; the
+    certificate's `sigma` is a facet bijection from the first polytope to
+    the second as given.  Equivalent pairs carry equal kernel-bundle
+    sublattices, so `bundle_report` states that without a recheck.
     """
     for poly, cand in ((p, lam), (p2, lam2)):
         report = validate_characteristic_pair(poly, cand)
         if not report.valid:
             raise ValidationError("invalid pair: " + "; ".join(report.failures))
-    k1, k2 = dual_complex(p), dual_complex(p2)
-    isos = isomorphisms(k1, k2, bound=bound)
+    isos = isomorphisms(dual_complex(p), dual_complex(p2), bound=bound)
     if not isos:
         return RigidityVerdict(LEVEL_INCOMPARABLE,
                                bundle_report={"equal_sublattice": False})
-    # relabel the second pair back to the first polytope via each isomorphism
-    for iso in isos:
-        inv = [0] * len(iso)
-        for i, j in enumerate(iso, start=1):
-            inv[j - 1] = i
-        relabeled = from_columns([lam2.column(iso[i - 1]) for i in range(1, lam2.m + 1)])
-        cert = _certificate_search(p, lam, relabeled, automorphisms(k1, bound=bound))
-        if cert is not None:
-            # consistency: the transformed pair carries the same bundle sublattice
-            transformed = cert.apply(lam)
-            t1 = kernel_chern_classes(p, transformed)
-            t2 = kernel_chern_classes(p, relabeled)
-            equal = compare_kernel_bundles(t1, t2)
-            if not equal:
-                raise ValidationError(
-                    "certificate found but kernel sublattices differ; corrupt input")
-            return RigidityVerdict(LEVEL_EQUIVALENT, certificate=cert,
-                                   bundle_report={"equal_sublattice": True})
-    return RigidityVerdict(LEVEL_INEQUIVALENT,
-                           bundle_report={"equal_sublattice": False})
+    cert = _certificate_search(p, lam, lam2, isos)
+    if cert is None:
+        return RigidityVerdict(LEVEL_INEQUIVALENT,
+                               bundle_report={"equal_sublattice": False})
+    return RigidityVerdict(LEVEL_EQUIVALENT, certificate=cert,
+                           bundle_report={"equal_sublattice": True})
+
+
+def _signatures(labels):
+    """Multiset of membership signatures {i : x in labels[i-1]} over the
+    coordinates x that lie in some label."""
+    members = {}
+    for i, label in enumerate(labels, start=1):
+        for x in label:
+            members.setdefault(x, set()).add(i)
+    return Counter(frozenset(s) for s in members.values())
 
 
 def _functors_match(p, f, p2, f2, bound=12):
     """Label data equal up to dual-complex isomorphism and relabeling of the
-    acting-coordinate universe."""
+    acting-coordinate universe.
+
+    For a fixed isomorphism sigma, a relabeling pi with
+    pi(label_i) = label'_sigma(i) for every facet exists exactly when both
+    sides have the same multiset of membership signatures; with equal
+    universes, the coordinates in no label match automatically.
+    """
     if f.n_act != f2.n_act:
         return False
-    if f.n_act > bound:
-        raise BudgetError(
-            f"universe relabeling search limited to {bound} coordinates, "
-            f"got {f.n_act}", bound)
-    k1, k2 = dual_complex(p), dual_complex(p2)
-    isos = isomorphisms(k1, k2, bound=bound)
-    universe = range(1, f.n_act + 1)
-    for iso in isos:
-        pairs = [(f.label(i), f2.label(iso[i - 1]))
-                 for i in range(1, p.facet_count + 1)]
-        if any(len(a) != len(b) for a, b in pairs):
-            continue
-        for perm in permutations(universe):
-            if all(frozenset(perm[a - 1] for a in src) == dst
-                   for src, dst in pairs):
-                return True
+    m = p.facet_count
+    want = _signatures([f.label(i) for i in range(1, m + 1)])
+    for iso in isomorphisms(dual_complex(p), dual_complex(p2), bound=bound):
+        if _signatures([f2.label(iso[i - 1]) for i in range(1, m + 1)]) == want:
+            return True
     return False
 
 
@@ -209,5 +198,4 @@ def rigidity_verdict_quaternionic(p, f, tuple1, p2, f2, tuple2, bound=12):
         level = LEVEL_EQUIVALENT if same else LEVEL_INEQUIVALENT
     else:
         level = LEVEL_PRIMARY_EQUIVALENT if same else LEVEL_PRIMARY_DISTINCT
-    assert not (base_dim > 4 and level == LEVEL_EQUIVALENT)
     return RigidityVerdict(level, bundle_report=report)

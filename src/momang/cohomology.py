@@ -106,7 +106,6 @@ class GradedComponent:
     invariants: intlat.AbelianGroupInvariants
     basis_monomials: list      # monomials whose classes form a basis of the free part
     _v: list = field(repr=False, default_factory=list)
-    _vinv: list = field(repr=False, default_factory=list)
     _elementary: list = field(repr=False, default_factory=list)  # d_j per coordinate
     _basis_free_coords: list = field(repr=False, default_factory=list)
 
@@ -188,7 +187,6 @@ def _build_component(pres, degree):
         invariants=intlat.AbelianGroupInvariants(free_rank, torsion),
         basis_monomials=[],
         _v=snf.v if cols else [],
-        _vinv=[],
         _elementary=elementary,
     )
     # greedy monomial basis of the free part, graded-lex order

@@ -248,12 +248,3 @@ def face_poset(p):
             faces.update(combinations(elems, size))
     ordered = sorted(faces, key=lambda f: (len(f), f))
     return [(f, len(f)) for f in ordered]
-
-
-def cube_embedding_faces(p):
-    """Combinatorial shadow of the cubical embedding of the polytope.
-
-    Each vertex, given by the facets through it, spans the cube face on
-    exactly those coordinates; the remaining coordinates are pinned.
-    """
-    return {v: tuple(sorted(v)) for v in p.vertices}

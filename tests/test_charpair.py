@@ -82,20 +82,6 @@ def test_shape_mismatch():
         charpair.validate_characteristic_pair(square(), projective_matrix(2))
 
 
-def test_canonical_model_table():
-    table = charpair.canonical_model_table(segment(), charpair.from_columns([[1], [-1]]))
-    faces = dict(table.rows)
-    assert faces[()] == [[]]
-    assert faces[(1,)] == [[1]]
-    assert faces[(2,)] == [[-1]]
-
-
-def test_canonical_model_table_rejects_invalid():
-    lam = charpair.from_columns([[2], [-1]])
-    with pytest.raises(ValidationError):
-        charpair.canonical_model_table(segment(), lam)
-
-
 def test_functor_construction_guards():
     with pytest.raises(ValidationError, match="empty label"):
         charpair.isotropy_functor(2, [[1], []])

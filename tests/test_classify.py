@@ -1,10 +1,12 @@
-from itertools import combinations_with_replacement, product
+import random
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from momang import bundles, classify, intlat
 from momang.charpair import from_columns, isotropy_functor
-from momang.combinatorics import automorphisms, dual_complex, simple_polytope
+from momang.combinatorics import (automorphisms, dual_complex, isomorphisms,
+                                  simple_polytope)
 from momang.errors import IncomparableError, ValidationError
 
 
@@ -74,7 +76,7 @@ def test_certificate_apply_and_inverse():
     cert = classify.EquivalenceCertificate(
         delta=[[1, 0], [0, 1]], sigma=(2, 3, 4, 1), signs=(1, -1, 1, -1))
     target = cert.apply(lam)
-    back = cert.inverse(p.dim).apply(target)
+    back = cert.inverse().apply(target)
     assert back.rows() == lam.rows()
 
 
@@ -152,6 +154,41 @@ def test_complex_verdict_over_relabeled_polytope():
                               lam.column(4)])
     verdict = classify.rigidity_verdict_complex(p, lam, q, relabeled)
     assert verdict.level == classify.LEVEL_EQUIVALENT
+    assert verdict.certificate.apply(lam).rows() == relabeled.rows()
+
+
+def relabel_polytope(p, perm):
+    """The same polytope with facet i renamed perm[i-1]."""
+    verts = [[perm[i - 1] for i in v] for v in p.vertices]
+    return simple_polytope(p.facet_count, p.dim, verts)
+
+
+def relabel(p, lam, perm):
+    """The same pair with facet i renamed perm[i-1]."""
+    cols = [None] * lam.m
+    for i in range(1, lam.m + 1):
+        cols[perm[i - 1] - 1] = lam.column(i)
+    return relabel_polytope(p, perm), from_columns(cols)
+
+
+def test_complex_verdict_matches_oracle_on_disguised_pairs():
+    rng = random.Random(7)
+    p = square()
+    for a, b in product(range(-2, 3), repeat=2):
+        flips = [rng.choice((1, -1)) for _ in range(4)]
+        signed = from_columns([[s * x for x in hirzebruch(b).column(i)]
+                               for i, s in zip(range(1, 5), flips)])
+        expected = oracle_equivalent(p, hirzebruch(a), signed)
+        assert expected == (abs(a) == abs(b)), (a, b)
+        perm = list(range(1, 5))
+        rng.shuffle(perm)
+        q, disguised = relabel(p, signed, perm)
+        verdict = classify.rigidity_verdict_complex(p, hirzebruch(a), q, disguised)
+        assert (verdict.level == classify.LEVEL_EQUIVALENT) == expected, (a, b, perm)
+        if expected:
+            cert = verdict.certificate
+            assert cert.apply(hirzebruch(a)).rows() == disguised.rows()
+            assert cert.sigma in isomorphisms(dual_complex(p), dual_complex(q))
 
 
 def test_quaternionic_verdicts_base_dim_four():
@@ -194,3 +231,54 @@ def test_functor_relabeling_detected():
     t2 = bundles.quaternionic_primary_tuple(p, f2, [[1, 0]])
     verdict = classify.rigidity_verdict_quaternionic(p, f1, t1, p, f2, t2)
     assert verdict.level == classify.LEVEL_EQUIVALENT
+
+
+def functors_match_oracle(p, f, p2, f2):
+    """Brute force: try every relabeling of the universe for every isomorphism."""
+    if f.n_act != f2.n_act:
+        return False
+    isos = isomorphisms(dual_complex(p), dual_complex(p2))
+    for iso in isos:
+        pairs = [(f.label(i), f2.label(iso[i - 1]))
+                 for i in range(1, p.facet_count + 1)]
+        for perm in permutations(range(1, f.n_act + 1)):
+            if all(frozenset(perm[a - 1] for a in src) == dst
+                   for src, dst in pairs):
+                return True
+    return False
+
+
+def test_functors_match_agrees_with_brute_force():
+    rng = random.Random(11)
+    bases = [segment(), simplex(2), square()]
+    matches = 0
+    for trial in range(300):
+        p = bases[trial % 3]
+        m = p.facet_count
+        n_act = rng.randint(1, 6)
+
+        def random_label():
+            return rng.sample(range(1, n_act + 1), rng.randint(1, min(3, n_act)))
+
+        labels = [random_label() for _ in range(m)]
+        f = isotropy_functor(n_act, labels)
+        if trial % 2:
+            # a relabeled copy: rename the universe and the facets
+            pi = list(range(1, n_act + 1))
+            rng.shuffle(pi)
+            perm = list(range(1, m + 1))
+            rng.shuffle(perm)
+            p2 = relabel_polytope(p, perm)
+            labels2 = [None] * m
+            for i in range(1, m + 1):
+                labels2[perm[i - 1] - 1] = [pi[x - 1] for x in labels[i - 1]]
+            if rng.random() < 0.3:  # a perturbed copy may stop matching
+                labels2[0] = random_label()
+        else:
+            p2 = p
+            labels2 = [random_label() for _ in range(m)]
+        f2 = isotropy_functor(n_act, labels2)
+        want = functors_match_oracle(p, f, p2, f2)
+        assert classify._functors_match(p, f, p2, f2) == want, (p.vertices, labels, labels2)
+        matches += want
+    assert 50 < matches < 250

@@ -164,6 +164,41 @@ def test_compare_quaternionic(capsys):
     assert json.loads(out)["level"] == "primary-equivalent"
 
 
+def test_compare_certificate_over_relabeled_polytope(capsys, tmp_path):
+    # the Hirzebruch-1 pair with facets 2 and 3 swapped
+    relabeled = {
+        "polytope": {"m": 4, "n": 2, "vertices": [[1, 3], [3, 2], [2, 4], [4, 1]]},
+        "characteristic": {"n": 2, "m": 4,
+                           "columns": [[1, 0], [-1, 1], [0, 1], [0, -1]]},
+    }
+    first = write_json(tmp_path, "h1.json", HIRZEBRUCH_1)
+    second = write_json(tmp_path, "h1-relabeled.json", relabeled)
+    code, out, _ = run(capsys, "compare", first, second)
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    sigma, delta, signs = cert["sigma"], cert["delta"], cert["signs"]
+    targets = {frozenset(v) for v in relabeled["polytope"]["vertices"]}
+    for v in HIRZEBRUCH_1["polytope"]["vertices"]:
+        assert frozenset(sigma[i - 1] for i in v) in targets
+    cols1 = HIRZEBRUCH_1["characteristic"]["columns"]
+    cols2 = relabeled["characteristic"]["columns"]
+    for i, col in enumerate(cols1):
+        image = [signs[i] * sum(d * x for d, x in zip(row, col)) for row in delta]
+        assert image == cols2[sigma[i] - 1]
+
+
+def test_compare_quaternionic_large_universe(capsys, tmp_path):
+    # a universe of 20 coordinates is matched without a relabeling search
+    def pair(labels):
+        return {"polytope": {"m": 2, "n": 1, "vertices": [[1], [2]]},
+                "functor": {"n_act": 20, "labels": labels}}
+    first = write_json(tmp_path, "q1.json", pair([[1, 2, 3], [4, 5]]))
+    second = write_json(tmp_path, "q2.json", pair([[20, 7], [9, 1, 13]]))
+    code, out, _ = run(capsys, "compare", first, second)
+    assert code == 0
+    assert json.loads(out)["bundle"]["functors_match"] is True
+
+
 def test_compare_mixed_flavors(capsys):
     code, _, err = run(capsys, "compare", "corpus:cp1", "corpus:hp1-hopf")
     assert code == 4

@@ -125,8 +125,3 @@ def test_face_poset_square():
     assert codim1 == [(1,), (2,), (3,), (4,)]
     assert codim2 == [(1, 2), (1, 4), (2, 3), (3, 4)]
 
-
-def test_cube_embedding_faces():
-    p = segment()
-    shadow = comb.cube_embedding_faces(p)
-    assert shadow == {frozenset({1}): (1,), frozenset({2}): (2,)}
