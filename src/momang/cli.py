@@ -9,6 +9,7 @@ file paths or named entries of the bundled example corpus.  Exit codes:
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 from . import bundles, classify, cohomology, moment_angle
@@ -62,37 +63,45 @@ def load_input(source):
     return _load_json(source)
 
 
-def parse_polytope(obj):
+@contextmanager
+def _reading(kind):
+    """Report a missing key or a malformed value of a `kind` object as an input error."""
     try:
-        return simple_polytope(obj["m"], obj["n"], obj["vertices"])
+        yield
     except KeyError as exc:
-        raise InputError(f"polytope object is missing key {exc}") from exc
+        raise InputError(f"{kind} object is missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise InputError(f"malformed {kind} object: {exc}") from exc
+
+
+def parse_polytope(obj):
+    with _reading("polytope"):
+        p = simple_polytope(obj["m"], obj["n"], obj["vertices"])
+        if not all(type(i) is int for v in p.vertices for i in v):
+            raise InputError("polytope vertices must list integer facets")
+    return p
 
 
 def parse_complex(obj):
-    try:
+    with _reading("complex"):
         return simplicial_complex(obj["m"], obj["maximal_faces"])
-    except KeyError as exc:
-        raise InputError(f"complex object is missing key {exc}") from exc
 
 
 def parse_characteristic(obj):
-    try:
-        cols = obj["columns"]
-        lam = from_columns(cols)
-    except KeyError as exc:
-        raise InputError(f"characteristic object is missing key {exc}") from exc
-    if lam.n != obj.get("n", lam.n) or lam.m != obj.get("m", lam.m):
-        raise ShapeError(
-            f"declared shape {obj.get('n')}x{obj.get('m')} does not match "
-            f"{lam.n}x{lam.m} columns")
+    with _reading("characteristic"):
+        lam = from_columns(obj["columns"])
+        if not all(type(x) is int for row in lam.entries for x in row):
+            raise InputError("characteristic matrix entries must be integers")
+        if lam.n != obj.get("n", lam.n) or lam.m != obj.get("m", lam.m):
+            raise ShapeError(
+                f"declared shape {obj.get('n')}x{obj.get('m')} does not match "
+                f"{lam.n}x{lam.m} columns")
     return lam
 
+
 def parse_functor(obj):
-    try:
+    with _reading("functor"):
         return isotropy_functor(obj["n_act"], obj["labels"])
-    except KeyError as exc:
-        raise InputError(f"functor object is missing key {exc}") from exc
 
 
 def emit(data, fmt):

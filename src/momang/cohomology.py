@@ -11,6 +11,7 @@ coefficients stay integral.
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from math import gcd
 
 from . import intlat
 from .charpair import validate_characteristic_pair
@@ -104,52 +105,18 @@ class GradedComponent:
     degree: int
     monomials: list            # spanning monomials, graded-lex order
     invariants: intlat.AbelianGroupInvariants
-    basis_monomials: list      # monomials whose classes form a basis of the free part
-    _v: list = field(repr=False, default_factory=list)
-    _elementary: list = field(repr=False, default_factory=list)  # d_j per coordinate
-    _basis_free_coords: list = field(repr=False, default_factory=list)
-
-    def _diagonal_coords(self, vec):
-        # coordinates of vec in the basis where the relation lattice is diagonal
-        return [sum(vec[i] * self._v[i][j] for i in range(len(vec)))
-                for j in range(len(vec))]
-
-    def free_coordinates(self, vec):
-        y = self._diagonal_coords(vec)
-        free = []
-        for j, d in enumerate(self._elementary):
-            if d == 0:
-                free.append(y[j])
-            elif y[j] % d != 0:
-                raise IntegrityError(
-                    f"class has a nonzero torsion component in degree {self.degree}")
-        return free
+    basis_monomials: list      # monomials whose classes form a Z-basis
+    table: list = field(repr=False)  # monomial vector -> basis coordinates
 
     def coordinates_over_basis(self, vec):
         """Express the class of vec over the chosen monomial basis."""
-        target = self.free_coordinates(vec)
-        if not self._basis_free_coords:
-            if any(target):
-                raise IntegrityError(f"nonzero class in a rank-0 component")
-            return ()
-        bt = intlat.transpose(self._basis_free_coords)
-        sol = intlat.solve_integer(bt, target)
-        if sol is None:
-            raise IntegrityError(
-                f"class is not an integer combination of the degree-{self.degree} basis")
-        return tuple(sol)
+        return tuple(intlat.mat_vec(self.table, vec))
 
 
 def _monomials(num_gens, mono_degree):
-    if num_gens == 0:
-        return [()] if mono_degree == 0 else []
-    monos = []
-    for combo in combinations_with_replacement(range(num_gens), mono_degree):
-        exp = [0] * num_gens
-        for g in combo:
-            exp[g] += 1
-        monos.append(tuple(exp))
-    return sorted(monos, reverse=True)
+    combos = combinations_with_replacement(range(num_gens), mono_degree)
+    return sorted((tuple(c.count(g) for g in range(num_gens)) for c in combos),
+                  reverse=True)
 
 
 def _build_component(pres, degree):
@@ -171,46 +138,44 @@ def _build_component(pres, degree):
                 shifted = tuple(x + y for x, y in zip(mono, mult))
                 row[index[shifted]] += c
             relations.append(row)
-    cols = len(monomials)
-    if not relations:
-        snf = intlat.SmithDecomposition(u=[], d=[[0] * cols], v=intlat.identity(cols))
-        elementary = [0] * cols
-    else:
-        snf = intlat.smith_normal_form(relations)
-        diag = snf.diagonal()
-        elementary = [(diag[j] if j < len(diag) else 0) for j in range(cols)]
-    free_rank = sum(1 for d in elementary if d == 0)
-    torsion = [d for d in elementary if d > 1]
-    comp = GradedComponent(
-        degree=degree,
-        monomials=monomials,
-        invariants=intlat.AbelianGroupInvariants(free_rank, torsion),
-        basis_monomials=[],
-        _v=snf.v if cols else [],
-        _elementary=elementary,
-    )
-    # greedy monomial basis of the free part, graded-lex order
-    chosen = []
-    chosen_coords = []
-    for mono in monomials:
-        if len(chosen) == free_rank:
+    snf = intlat.smith_normal_form(relations or [[0] * len(monomials)])
+    factors = snf.invariant_factors()
+    if any(d > 1 for d in factors):
+        raise IntegrityError(f"degree-{degree} component has torsion")
+    # rows of `free` vanish on the relations: they map the class of a
+    # monomial vector to its coordinates in the free quotient Z^r
+    free = [[row[j] for row in snf.v] for j in range(len(factors), len(monomials))]
+    r = len(free)
+    # Basis walk in graded-lex order.  `inv` holds the columns of a
+    # unimodular matrix taking the kept classes to the first unit vectors,
+    # so a monomial keeps them a direct summand iff the rest of its image
+    # has gcd 1; `inv` is then changed to take it to the next unit vector.
+    # At rank r it is the inverse of the basis, and `inv @ free` reduces.
+    inv = intlat.identity(r)
+    basis = []
+    for j, mono in enumerate(monomials):
+        k = len(basis)
+        if k == r:
             break
-        vec = [0] * cols
-        vec[index[mono]] = 1
-        try:
-            fc = comp.free_coordinates(vec)
-        except IntegrityError:
+        img = [sum(row[j] * x for row, x in zip(free, col)) for col in inv]
+        if gcd(*img[k:]) != 1:
             continue
-        if intlat.rank(chosen_coords + [fc]) > len(chosen):
-            chosen.append(mono)
-            chosen_coords.append(fc)
-    if len(chosen) != free_rank or (
-            free_rank and abs(intlat.det(chosen_coords)) != 1):
+        for c in range(k + 1, r):      # Euclid: gather the gcd into column k
+            while img[c]:
+                q = img[k] // img[c]
+                inv[k], inv[c] = inv[c], [x - q * y for x, y in zip(inv[k], inv[c])]
+                img[k], img[c] = img[c], img[k] - q * img[c]
+        inv[k] = [img[k] * x for x in inv[k]]
+        for c in range(k):
+            inv[c] = [x - img[c] * y for x, y in zip(inv[c], inv[k])]
+        basis.append(mono)
+    if len(basis) != r:
         raise IntegrityError(
             f"no unimodular monomial basis found for degree {degree}")
-    comp.basis_monomials = chosen
-    comp._basis_free_coords = chosen_coords
-    return comp
+    return GradedComponent(
+        degree=degree, monomials=monomials,
+        invariants=intlat.AbelianGroupInvariants(r, []),
+        basis_monomials=basis, table=intlat.mat_mul(inv, free))
 
 
 def sr_presentation(k, deg=2):

@@ -16,10 +16,6 @@ from .errors import ShapeError
 Matrix = list  # list[list[int]], row-major
 
 
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -71,10 +67,6 @@ def det(mat):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(mat):
-    return len(mat) == (len(mat[0]) if mat else 0) and abs(det(mat)) == 1
 
 
 @dataclass
@@ -204,10 +196,6 @@ def smith_normal_form(mat):
 def invariant_factors(mat):
     """Nonzero diagonal of the Smith form, without the transform matrices."""
     return smith_normal_form(mat).invariant_factors()
-
-
-def rank(mat):
-    return len(invariant_factors(mat))
 
 
 def kernel_basis(mat):

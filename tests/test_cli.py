@@ -113,6 +113,54 @@ def test_cohomology_output(capsys, tmp_path):
     assert "total_class" in data
 
 
+def test_cohomology_of_hexagon_takes_a_generator(capsys, tmp_path):
+    # x3^2 = -2 [pt] here; the degree-4 basis must be a generator
+    hexagon = {
+        "polytope": {"m": 6, "n": 2,
+                     "vertices": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]},
+        "characteristic": {"n": 2, "m": 6, "columns": [
+            [1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [0, -1]]},
+    }
+    code, out, err = run(capsys, "cohomology", write_json(tmp_path, "hex.json", hexagon))
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["degrees"][2]["basis_monomials"] == [[1, 1, 0, 0]]
+    assert data["total_class"]["4"] == [6]
+
+
+HP1_HOPF = {"polytope": {"m": 2, "n": 1, "vertices": [[1], [2]]},
+            "functor": {"n_act": 2, "labels": [[1], [2]]}}
+
+
+def malformed(section, key, value):
+    body = json.loads(json.dumps(HIRZEBRUCH_1 if section != "functor" else HP1_HOPF))
+    body[section][key] = value
+    return body
+
+
+MALFORMED = {
+    "no columns": malformed("characteristic", "columns", []),
+    "columns not a list": malformed("characteristic", "columns", 5),
+    "vertices not lists": malformed("polytope", "vertices", [1, 2]),
+    "fractional entry": malformed("characteristic", "columns",
+                                  [[1.5, 0], [0, 1], [-1, 1], [0, -1]]),
+    "boolean entry": malformed("characteristic", "columns",
+                               [[True, 0], [0, 1], [-1, 1], [0, -1]]),
+    "fractional facet": malformed("polytope", "vertices",
+                                  [[1.0, 2], [2, 3], [3, 4], [1, 4]]),
+    "facet count a string": malformed("polytope", "m", "2"),
+    "labels not lists": malformed("functor", "labels", [1, 2]),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_an_input_error(capsys, tmp_path, name, command):
+    code, _, err = run(capsys, command, write_json(tmp_path, "bad.json", MALFORMED[name]))
+    assert code == 1
+    assert err.startswith("input error:")
+
+
 def test_chern_diagnostics(capsys):
     code, out, _ = run(capsys, "chern", "corpus:cp1", "--diagnostics")
     assert code == 0

@@ -1,9 +1,13 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
 from momang import cohomology as coh
+from momang import intlat
 from momang.charpair import from_columns
 from momang.combinatorics import dual_complex, simple_polytope
-from momang.errors import ValidationError
+from momang.errors import IntegrityError, ValidationError
 
 
 def simplex(n):
@@ -141,3 +145,177 @@ def test_inhomogeneous_polynomial_rejected():
 def test_presentation_rejects_invalid_pair():
     with pytest.raises(ValidationError):
         coh.quasitoric_presentation(simplex(1), from_columns([[2], [-1]]))
+
+
+# --------------------------------------------- monomial bases and reduction
+
+HEXAGON = [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [0, -1]]
+
+
+def polygon(m):
+    return simple_polytope(m, 2, [[i, i % m + 1] for i in range(1, m + 1)])
+
+
+def blown_up_polygon(rng, m):
+    """Columns of a toric polygon pair: a Hirzebruch square blown up at
+    random corners to m facets, rotated by a random offset."""
+    cols = [[1, 0], [0, 1], [-1, rng.randint(0, 2)], [0, -1]]
+    while len(cols) < m:
+        i = rng.randrange(len(cols))
+        a, b = cols[i], cols[(i + 1) % len(cols)]
+        cols.insert(i + 1, [a[0] + b[0], a[1] + b[1]])
+    shift = rng.randrange(m)
+    return cols[shift:] + cols[:shift]
+
+
+def self_intersection(cols, i):
+    """a with lam_{i-1} + lam_{i+1} = a lam_i (0-based i); facet i squares to -a [pt]."""
+    prev, cur, nxt = cols[i - 1], cols[i], cols[(i + 1) % len(cols)]
+    s = [prev[0] + nxt[0], prev[1] + nxt[1]]
+    return s[0] // cur[0] if cur[0] else s[1] // cur[1]
+
+
+def test_hexagon_basis_is_a_generator_not_a_multiple():
+    # x3^2 = -2 [pt] is not a generator of H^4; x3 x4 is
+    pres = coh.quasitoric_presentation(polygon(6), from_columns(HEXAGON))
+    basis, inv = coh.graded_component(pres, 4)
+    assert basis == [(1, 1, 0, 0)]
+    assert (inv.free_rank, inv.torsion) == (1, [])
+    assert coh.total_chern_class(pres)[1].coordinates == (6,)
+
+
+def test_blown_up_polygons_have_unimodular_bases():
+    rng = random.Random(2024)
+    steep = 0
+    for trial in range(60):
+        m = 5 + trial % 4
+        cols = blown_up_polygon(rng, m)
+        steep += abs(self_intersection(cols, 2)) >= 2
+        lam = from_columns(cols)
+        pres = coh.quasitoric_presentation(polygon(m), lam)
+        for deg, rank in ((0, 1), (2, m - 2), (4, 1)):
+            basis, inv = coh.graded_component(pres, deg)
+            assert (inv.free_rank, inv.torsion, len(basis)) == (rank, [], rank), cols
+        x = [coh.facet_class(pres, i).coordinates for i in range(1, m + 1)]
+        for row in lam.rows():
+            assert [sum(c * xi[k] for c, xi in zip(row, x)) for k in range(m - 2)] \
+                == [0] * (m - 2), cols
+        assert coh.total_chern_class(pres)[1].coordinates in ((m,), (-m,)), cols
+    assert steep >= 5
+
+
+def test_torsion_in_a_component_is_an_integrity_error():
+    pres = coh.GradedRingPresentation(m=1, generator_degree=2, non_faces=[],
+                                      kept=[1], ideal=[{(1,): 2}])
+    assert coh.graded_component(pres, 0)[1].free_rank == 1
+    with pytest.raises(IntegrityError, match="degree-2"):
+        pres.component(2)
+
+
+def reference_component(pres, degree):
+    """The earlier construction, kept as an oracle.  The free coordinates of
+    a monomial vector come from the Smith transform V of the relations; the
+    basis is taken greedily by rank and accepted only when its determinant
+    is +-1; each class is reduced by its own integer solve.  Returns the
+    basis monomials, the invariants and the reduction, or raises
+    IntegrityError where that construction finds no basis."""
+    t = degree // pres.generator_degree
+    monomials = coh._monomials(len(pres.kept), t)
+    index = {mono: i for i, mono in enumerate(monomials)}
+    relations = []
+    for g in pres.ideal:
+        gdeg = sum(next(iter(g)))
+        for mult in coh._monomials(len(pres.kept), t - gdeg) if gdeg <= t else []:
+            row = [0] * len(monomials)
+            for mono, c in g.items():
+                row[index[tuple(x + y for x, y in zip(mono, mult))]] += c
+            relations.append(row)
+    cols = len(monomials)
+    v, diag = intlat.identity(cols), []
+    if relations:
+        snf = intlat.smith_normal_form(relations)
+        v, diag = snf.v, snf.diagonal()
+    elementary = [diag[j] if j < len(diag) else 0 for j in range(cols)]
+
+    def free_coordinates(vec):
+        y = [sum(vec[i] * v[i][j] for i in range(cols)) for j in range(cols)]
+        if any(d and y[j] % d for j, d in enumerate(elementary)):
+            return None
+        return [y[j] for j, d in enumerate(elementary) if d == 0]
+
+    rank = elementary.count(0)
+    basis, coords = [], []
+    for j, mono in enumerate(monomials):
+        fc = free_coordinates([int(i == j) for i in range(cols)])
+        if len(basis) < rank and fc is not None and len(
+                intlat.invariant_factors(coords + [fc])) > len(basis):
+            basis.append(mono)
+            coords.append(fc)
+    if len(basis) != rank or (rank and abs(intlat.det(coords)) != 1):
+        raise IntegrityError(f"no unimodular monomial basis for degree {degree}")
+
+    def reduce(poly):
+        vec = [0] * cols
+        for mono, c in poly.items():
+            vec[index[mono]] += c
+        return tuple(intlat.solve_integer(intlat.transpose(coords), free_coordinates(vec))
+                     if rank else ())
+
+    return basis, (rank, [d for d in elementary if d > 1]), reduce
+
+
+def simplex_product(dims):
+    offset, factors = 0, []
+    for d in dims:
+        factors.append([list(c) for c in combinations(range(offset + 1, offset + d + 2), d)])
+        offset += d + 1
+    return simple_polytope(offset, sum(dims), [sum(v, []) for v in product(*factors)])
+
+
+def generalized_bott_tower(rng, dims):
+    """Over the product of simplices: factor k spans its own block of
+    coordinates, and its last facet is twisted into the later blocks."""
+    n = sum(dims)
+    cols, start = [], 0
+    for d in dims:
+        cols += [[int(r == i) for r in range(n)] for i in range(start, start + d)]
+        cols.append([-1 if start <= r < start + d else
+                     rng.randint(-2, 2) if r >= start + d else 0 for r in range(n)])
+        start += d
+    return from_columns(cols)
+
+
+def total_class_parts(pres):
+    unit = {tuple([0] * len(pres.kept)): 1}
+    prod = unit
+    for i in range(1, pres.m + 1):
+        prod = coh.poly_mul(prod, coh.poly_add(unit, pres.generator_poly(i)))
+    return coh.poly_degree_parts(prod)
+
+
+def test_components_agree_with_the_reference_construction():
+    rng = random.Random(7)
+    compared = 0
+    for dims in ([1, 1], [1, 1, 1], [1, 1, 1, 1], [1, 2], [2, 2], [1, 3]):
+        p = simplex_product(dims)
+        for _ in range(4):
+            pres = coh.quasitoric_presentation(p, generalized_bott_tower(rng, dims))
+            total = coh.total_chern_class(pres)
+            parts = total_class_parts(pres)
+            for deg in range(0, pres.base_dim + 1, 2):
+                try:
+                    basis, invariants, reduce = reference_component(pres, deg)
+                except IntegrityError:
+                    continue
+                comp = pres.component(deg)
+                assert comp.basis_monomials == basis, (dims, deg)
+                assert (comp.invariants.free_rank, comp.invariants.torsion) == invariants
+                if deg == 2:
+                    for i in range(1, pres.m + 1):
+                        assert coh.facet_class(pres, i).coordinates == \
+                            reduce(pres.generator_poly(i))
+                if deg:
+                    assert total[deg // 2 - 1].coordinates == \
+                        reduce(parts.get(deg // 2, {}))
+                compared += 1
+    assert compared >= 100
