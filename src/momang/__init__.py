@@ -3,8 +3,8 @@
 Constructs and validates complex and quaternionic moment-angle manifolds
 from combinatorial input (simple polytope plus characteristic data),
 computes the characteristic classes of their kernel bundles, and decides
-equivariant-homeomorphism questions, with a brute-force cellular-homology
-oracle for verification.
+equivariant-homeomorphism questions, with exact cellular homology of the
+moment-angle manifolds for verification.
 """
 
 from .combinatorics import (SimplePolytopeData, SimplicialComplexData,

@@ -92,6 +92,10 @@ def parse_characteristic(obj):
         lam = from_columns(obj["columns"])
         if not all(type(x) is int for row in lam.entries for x in row):
             raise InputError("characteristic matrix entries must be integers")
+        for key in ("n", "m"):
+            if type(obj.get(key, 0)) is not int:
+                raise InputError(f"declared {key} must be an integer, "
+                                 f"not {type(obj[key]).__name__}")
         if lam.n != obj.get("n", lam.n) or lam.m != obj.get("m", lam.m):
             raise ShapeError(
                 f"declared shape {obj.get('n')}x{obj.get('m')} does not match "
@@ -101,7 +105,11 @@ def parse_characteristic(obj):
 
 def parse_functor(obj):
     with _reading("functor"):
-        return isotropy_functor(obj["n_act"], obj["labels"])
+        f = isotropy_functor(obj["n_act"], obj["labels"])
+        if type(f.n_act) is not int or not all(
+                type(g) is int for label in obj["labels"] for g in label):
+            raise InputError("functor n_act and labels must be integers")
+    return f
 
 
 def emit(data, fmt):

@@ -108,7 +108,8 @@ def smith_normal_form(mat):
     Returns a SmithDecomposition (u, d, v) with u @ mat @ v = d, u and v
     unimodular, and the diagonal of d nonnegative in divisibility order.
     Deterministic for a fixed input: pivots are chosen as the smallest
-    nonzero absolute value, ties broken by position.
+    nonzero absolute value, ties broken by position, so the scan stops at
+    the first entry of absolute value 1.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
@@ -141,10 +142,16 @@ def smith_normal_form(mat):
     t = 0
     while t < min(rows, cols):
         pivot = None
+        best = 0
         for i in range(t, rows):
             for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = abs(a[i][j])
+                if x and (pivot is None or x < best):
+                    pivot, best = (i, j), x
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -172,6 +179,8 @@ def smith_normal_form(mat):
             if restart:
                 continue
             # enforce the divisibility chain: d_t must divide the rest
+            if abs(a[t][t]) == 1:
+                break
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):

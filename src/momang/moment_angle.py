@@ -5,13 +5,15 @@ complex flavor or (D^4, S^3) in the quaternionic one: a base point b, a
 sphere cell s, and a disc cell d with boundary s.  A cell of the model
 is a tuple over {b, s, d} whose d-support is a face of the complex; the
 boundary operator replaces one d by s with the usual product-complex
-Koszul sign.  This brute-force model is the homology oracle for the
-rest of the package.
+Koszul sign.  The boundary keeps the set J of non-b coordinates, so
+the homology is computed one small block per J.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
+from math import gcd, lcm
 
+from .combinatorics import enumerate_faces
 from .intlat import AbelianGroupInvariants, invariant_factors
 from .errors import BudgetError, ValidationError
 
@@ -31,7 +33,7 @@ class CellModel:
     m: int
     flavor: str
     cells: dict       # total dimension -> sorted list of tuples over "b","s","d"
-    boundaries: dict  # dimension k -> matrix (rows: cells of k-1, cols: cells of k)
+    boundaries: dict  # (J, k) -> block matrix (rows: cells of J in k-1, cols: in k)
 
     def top_dimension(self):
         return max(self.cells)
@@ -77,7 +79,14 @@ def dimension_report(k, flavor, n):
 
 
 def build_cell_model(k, flavor, budget=None):
-    """Enumerate the admissible cell tuples and their signed boundary matrices."""
+    """Enumerate the cells face by face and the boundary matrices block by block.
+
+    A cell is a face sigma of k and a set J containing it: d on sigma, s on
+    J - sigma, b elsewhere.  The boundary turns one d into s and keeps J, so
+    each boundary map is the direct sum of one block per J, up to signs and
+    a shift the augmented chain complex of the full subcomplex K_J
+    (Hochster's formula).  `boundaries` maps (J, dimension) to that block.
+    """
     if flavor not in CELL_DIMS:
         raise ValidationError(f"unknown flavor {flavor!r}")
     m = k.vertex_count
@@ -86,35 +95,37 @@ def build_cell_model(k, flavor, budget=None):
         raise BudgetError(
             f"cell enumeration over 3^{m} tuples exceeds the budget m <= {limit}", limit)
     dims = CELL_DIMS[flavor]
+    blocks = {}  # J -> dimension -> cells whose non-b coordinates are J
+    for face in [()] + [f for level in enumerate_faces(k) for f in level]:
+        rest = [i for i in range(1, m + 1) if i not in face]
+        for size in range(len(rest) + 1):
+            for extra in combinations(rest, size):
+                cell = tuple("d" if i in face else "s" if i in extra else "b"
+                             for i in range(1, m + 1))
+                levels = blocks.setdefault(tuple(sorted(face + extra)), {})
+                levels.setdefault(sum(dims[c] for c in cell), []).append(cell)
+
     cells = {}
-    for tup in product("bds", repeat=m):
-        support = [i + 1 for i, c in enumerate(tup) if c == "d"]
-        if support and not k.is_face(support):
-            continue
-        total = sum(dims[c] for c in tup)
-        cells.setdefault(total, []).append(tup)
+    boundaries = {}
+    for block, levels in blocks.items():
+        for dim, level in levels.items():
+            cells.setdefault(dim, []).extend(level)
+            lower = levels.get(dim - 1)
+            if lower is None:
+                continue
+            lower_index = {cell: j for j, cell in enumerate(lower)}
+            matrix = [[0] * len(level) for _ in lower]
+            for col, cell in enumerate(level):
+                prefix = 0
+                for i, c in enumerate(cell):
+                    if c == "d":
+                        target = cell[:i] + ("s",) + cell[i + 1:]
+                        sign = -1 if prefix % 2 else 1
+                        matrix[lower_index[target]][col] += sign
+                    prefix += dims[c]
+            boundaries[(block, dim)] = matrix
     for level in cells.values():
         level.sort()
-    index = {dim: {cell: j for j, cell in enumerate(level)}
-             for dim, level in cells.items()}
-
-    sphere_dim = dims["s"]
-    boundaries = {}
-    for dim in sorted(cells):
-        if dim == 0:
-            continue
-        lower = cells.get(dim - 1, [])
-        matrix = [[0] * len(cells[dim]) for _ in range(len(lower))]
-        lower_index = index.get(dim - 1, {})
-        for col, cell in enumerate(cells[dim]):
-            prefix = 0
-            for i, c in enumerate(cell):
-                if c == "d":
-                    target = cell[:i] + ("s",) + cell[i + 1:]
-                    sign = -1 if prefix % 2 else 1
-                    matrix[lower_index[target]][col] += sign
-                prefix += dims[c]
-        boundaries[dim] = matrix
     return CellModel(m=m, flavor=flavor, cells=cells, boundaries=boundaries)
 
 
@@ -135,21 +146,30 @@ class HomologyProfile:
 
 
 def homology(model):
-    """Integral homology of the model from the Smith forms of its boundaries."""
-    top = model.top_dimension()
-    ranks = {}
+    """Integral homology of the model from one Smith form per boundary block."""
     factors = {}
-    for dim, mat in model.boundaries.items():
-        f = invariant_factors(mat) if mat and mat[0] else []
-        factors[dim] = f
-        ranks[dim] = len(f)
+    for (_, dim), mat in model.boundaries.items():
+        factors.setdefault(dim, []).extend(invariant_factors(mat))
     groups = {}
-    for deg in range(top + 1):
-        cell_count = len(model.cells.get(deg, []))
-        free = cell_count - ranks.get(deg, 0) - ranks.get(deg + 1, 0)
-        torsion = [x for x in factors.get(deg + 1, []) if x > 1]
-        groups[deg] = AbelianGroupInvariants(free, torsion)
+    for deg in range(model.top_dimension() + 1):
+        above = factors.get(deg + 1, [])
+        free = len(model.cells.get(deg, [])) - len(factors.get(deg, [])) - len(above)
+        groups[deg] = AbelianGroupInvariants(free, _merge_torsion(x for x in above if x > 1))
     return HomologyProfile(groups=groups)
+
+
+def _merge_torsion(orders):
+    """Invariant factors of the sum of the cyclic groups Z/t, t in orders.
+
+    Each gcd/lcm step keeps, prime by prime, the exponents sorted, so
+    Z/2 + Z/3 gives [6] and Z/4 + Z/6 gives [2, 12].
+    """
+    chain = []
+    for t in orders:
+        for i, x in enumerate(chain):
+            chain[i], t = gcd(x, t), lcm(x, t)
+        chain.append(t)
+    return [x for x in chain if x > 1]
 
 
 def euler_characteristic(model):

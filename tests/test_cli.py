@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -103,6 +104,43 @@ def test_homology_quaternionic_flavor(capsys):
     assert sum(ranks.values()) == 2
 
 
+def polygon(m):
+    return {"polytope": {"m": m, "n": 2,
+                         "vertices": [[i, i % m + 1] for i in range(1, m + 1)]}}
+
+
+def mcgavran_rank(m, d):
+    # rank of H_d of the complex moment-angle manifold over an m-gon
+    if d in (0, m + 2):
+        return 1
+    if 3 <= d <= m - 1:
+        return (d - 2) * comb(m - 2, d - 1) + (m - d) * comb(m - 2, m + 1 - d)
+    return 0
+
+
+def test_homology_of_complex_10_gon_inside_default_budget(capsys, tmp_path):
+    code, out, err = run(capsys, "homology", write_json(tmp_path, "p.json", polygon(10)))
+    assert code == 0, err
+    ranks = {d["k"]: d["rank"] for d in json.loads(out)["degrees"]}
+    assert ranks == {d: mcgavran_rank(10, d) for d in range(13)}
+    assert [ranks[d] for d in range(3, 10)] == [35, 160, 350, 448, 350, 160, 35]
+
+
+def test_homology_of_quaternionic_9_gon_inside_default_budget(capsys, tmp_path):
+    code, out, err = run(capsys, "homology", write_json(tmp_path, "p.json", polygon(9)),
+                         "--flavor", "quaternionic")
+    assert code == 0, err
+    data = json.loads(out)
+    # a class from the reduced homology H_i(K_J) has complex degree
+    # |J| + i + 1 and quaternionic degree 3|J| + i + 1: the middle classes
+    # (i = 0, |J| = d - 1) move from d to 3d - 2, the top one to 3m + 2
+    moved = {0: 0, 11: 29, **{d: 3 * d - 2 for d in range(3, 9)}}
+    want = {d: 0 for d in range(30)}
+    want.update({moved[d]: mcgavran_rank(9, d) for d in moved})
+    assert {d["k"]: d["rank"] for d in data["degrees"]} == want
+    assert all(not d["torsion"] for d in data["degrees"])
+
+
 def test_cohomology_output(capsys, tmp_path):
     path = write_json(tmp_path, "h1.json", HIRZEBRUCH_1)
     code, out, _ = run(capsys, "cohomology", path)
@@ -150,6 +188,12 @@ MALFORMED = {
                                   [[1.0, 2], [2, 3], [3, 4], [1, 4]]),
     "facet count a string": malformed("polytope", "m", "2"),
     "labels not lists": malformed("functor", "labels", [1, 2]),
+    "declared n a string": malformed("characteristic", "n", "2"),
+    "declared n a boolean": {"polytope": {"m": 2, "n": 1, "vertices": [[1], [2]]},
+                             "characteristic": {"n": True, "m": 2, "columns": [[1], [-1]]}},
+    "fractional label": malformed("functor", "labels", [[1.0], [2]]),
+    "boolean label": malformed("functor", "labels", [[True], [2]]),
+    "fractional universe": malformed("functor", "n_act", 2.0),
 }
 
 
@@ -159,6 +203,13 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, name, command):
     code, _, err = run(capsys, command, write_json(tmp_path, "bad.json", MALFORMED[name]))
     assert code == 1
     assert err.startswith("input error:")
+
+
+def test_declared_shape_of_the_wrong_type_is_named(capsys, tmp_path):
+    body = malformed("characteristic", "n", "2")
+    code, _, err = run(capsys, "validate", write_json(tmp_path, "bad.json", body))
+    assert code == 1
+    assert "declared n must be an integer, not str" in err
 
 
 def test_chern_diagnostics(capsys):

@@ -83,6 +83,79 @@ def test_smith_form_deterministic():
     assert first.d == second.d and first.u == second.u and first.v == second.v
 
 
+def reference_smith_normal_form(mat):
+    # the full-scan Smith form: smallest pivot over the whole remaining
+    # submatrix, and a divisibility rescan after every pivot
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    a = [row[:] for row in mat]
+    u = intlat.identity(rows)
+    v = intlat.identity(cols)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, factor):
+        for row in a + v:
+            row[dst] += factor * row[src]
+
+    for t in range(min(rows, cols)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, rows)
+                   for j in range(t, cols) if a[i][j] != 0]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        while True:
+            i = next((i for i in range(t + 1, rows) if a[i][t] != 0), None)
+            if i is not None:
+                add_row(t, i, -(a[i][t] // a[t][t]))
+                if a[i][t] != 0:
+                    swap_rows(t, i)
+                continue
+            j = next((j for j in range(t + 1, cols) if a[t][j] != 0), None)
+            if j is not None:
+                add_col(t, j, -(a[t][j] // a[t][t]))
+                if a[t][j] != 0:
+                    swap_cols(t, j)
+                continue
+            offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                             if a[i][j] % a[t][t] != 0), None)
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+    for i in range(min(rows, cols)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return u, a, v
+
+
+def test_smith_form_matches_full_scan_reference():
+    rng = random.Random(515)
+    for trial in range(200):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 10)
+        if trial % 2:
+            # dense in units: the scan stops at the first +-1
+            m = random_matrix(rng, rows, cols, -1, 1)
+        else:
+            # no unit entry: every pivot comes from the full scan
+            m = [[rng.choice([0, 2, -2, 3, -3, 4, 6, -9, 10]) for _ in range(cols)]
+                 for _ in range(rows)]
+        snf = intlat.smith_normal_form(m)
+        assert (snf.u, snf.d, snf.v) == reference_smith_normal_form(m), m
+
+
 def test_invariant_factors_known():
     assert intlat.invariant_factors([[2, 0], [0, 4]]) == [2, 4]
     assert intlat.invariant_factors([[0, 0], [0, 0]]) == []

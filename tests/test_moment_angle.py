@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -27,6 +28,52 @@ def random_complex(rng, m):
         maximal = {f for f in faces if not any(f < g for g in faces)}
         if set().union(*maximal) == set(range(1, m + 1)):
             return simplicial_complex(m, maximal)
+
+
+def random_sparse_complex(rng, m):
+    # many small faces, so that full subcomplexes have holes
+    faces = [set(rng.sample(range(1, m + 1), rng.randint(2, min(3, m - 1))))
+             for _ in range(rng.randint(3, 2 * m))]
+    faces += [{i} for i in range(1, m + 1) if not any(i in f for f in faces)]
+    return simplicial_complex(m, [f for f in faces if not any(f < g for g in faces)])
+
+
+def random_flag_complex(rng, m):
+    edges = {e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5}
+    cliques = [set(c) for size in range(1, m + 1)
+               for c in combinations(range(1, m + 1), size)
+               if all(e in edges for e in combinations(c, 2))]
+    return simplicial_complex(m, [c for c in cliques if not any(c < d for d in cliques)])
+
+
+RP2_6 = simplicial_complex(6, [[1, 2, 4], [1, 3, 4], [1, 3, 5], [1, 2, 6], [1, 5, 6],
+                               [2, 3, 5], [2, 3, 6], [2, 4, 5], [3, 4, 6], [4, 5, 6]])
+
+
+def reference_homology(k, flavor):
+    # one global Smith form per degree over all 3^m filtered tuples
+    dims = ma.CELL_DIMS[flavor]
+    cells = {}
+    for tup in product("bds", repeat=k.vertex_count):
+        support = [i + 1 for i, c in enumerate(tup) if c == "d"]
+        if not support or k.is_face(support):
+            cells.setdefault(sum(dims[c] for c in tup), []).append(tup)
+    factors = {}
+    for dim in cells:
+        lower = {cell: j for j, cell in enumerate(cells.get(dim - 1, []))}
+        matrix = [[0] * len(cells[dim]) for _ in lower]
+        for col, cell in enumerate(cells[dim]):
+            prefix = 0
+            for i, c in enumerate(cell):
+                if c == "d":
+                    matrix[lower[cell[:i] + ("s",) + cell[i + 1:]]][col] += \
+                        -1 if prefix % 2 else 1
+                prefix += dims[c]
+        factors[dim] = intlat.invariant_factors(matrix) if matrix else []
+    return {deg: (len(cells.get(deg, [])) - len(factors.get(deg, []))
+                  - len(factors.get(deg + 1, [])),
+                  [x for x in factors.get(deg + 1, []) if x > 1])
+            for deg in range(max(cells) + 1)}
 
 
 def test_dimension_values():
@@ -60,11 +107,58 @@ def test_boundary_squares_to_zero():
         k = random_complex(rng, rng.randint(2, 4))
         for flavor in (ma.COMPLEX, ma.QUATERNIONIC):
             model = ma.build_cell_model(k, flavor)
-            for dim, mat in model.boundaries.items():
-                lower = model.boundaries.get(dim - 1)
-                if lower and lower[0] and mat and mat[0]:
+            for (block, dim), mat in model.boundaries.items():
+                lower = model.boundaries.get((block, dim - 1))
+                if lower:
                     prod = intlat.mat_mul(lower, mat)
                     assert all(all(x == 0 for x in row) for row in prod)
+
+
+def test_blocks_partition_the_cells():
+    rng = random.Random(13)
+    for trial in range(10):
+        k = random_complex(rng, rng.randint(2, 5))
+        model = ma.build_cell_model(k, ma.COMPLEX)
+        cells = {cell for level in model.cells.values() for cell in level}
+        assert cells == {tup for tup in product("bds", repeat=k.vertex_count)
+                         if "d" not in tup
+                         or k.is_face([i + 1 for i, c in enumerate(tup) if c == "d"])}
+
+        def in_block(dim, block):
+            return [c for c in model.cells.get(dim, [])
+                    if tuple(i + 1 for i, x in enumerate(c) if x != "b") == block]
+
+        for (block, dim), mat in model.boundaries.items():
+            assert len(mat) == len(in_block(dim - 1, block)) > 0
+            assert len(mat[0]) == len(in_block(dim, block))
+
+
+@pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
+def test_homology_matches_global_smith_form(flavor):
+    rng = random.Random(29)
+    complexes = [random_sparse_complex(rng, rng.randint(3, 7)) for _ in range(12)]
+    complexes += [random_flag_complex(rng, rng.randint(3, 7)) for _ in range(12)]
+    for k in complexes:
+        profile = ma.homology(ma.build_cell_model(k, flavor))
+        got = {deg: (g.free_rank, g.torsion) for deg, g in profile.groups.items()}
+        assert got == reference_homology(k, flavor), sorted(k.maximal_faces)
+
+
+@pytest.mark.parametrize("flavor, degree", [(ma.COMPLEX, 8), (ma.QUATERNIONIC, 20)])
+def test_rp2_torsion_matches_global_smith_form(flavor, degree):
+    profile = ma.homology(ma.build_cell_model(RP2_6, flavor))
+    assert [d for d, g in profile.groups.items() if g.torsion] == [degree]
+    assert profile.torsion(degree) == [2]
+    got = {deg: (g.free_rank, g.torsion) for deg, g in profile.groups.items()}
+    assert got == reference_homology(RP2_6, flavor)
+
+
+def test_merge_torsion_gives_invariant_factors():
+    assert ma._merge_torsion([2, 3]) == [6]
+    assert ma._merge_torsion([4, 6]) == [2, 12]
+    assert ma._merge_torsion([2, 2, 4]) == [2, 2, 4]
+    assert ma._merge_torsion([4, 2, 2]) == [2, 2, 4]
+    assert ma._merge_torsion([]) == []
 
 
 def test_budget_enforced():
