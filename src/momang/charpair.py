@@ -2,8 +2,7 @@
 
 Validates integer characteristic matrices (circle-subgroup data, one
 primitive column per facet) and quaternionic isotropy functors
-(coordinate label sets per facet), and tabulates the face-to-isotropy
-assignment of the canonical models.
+(coordinate label sets per facet).
 """
 
 from dataclasses import dataclass, field

@@ -15,7 +15,7 @@ from itertools import product
 from . import intlat
 from .charpair import (from_columns, validate_characteristic_pair,
                        validate_quaternionic_functor)
-from .combinatorics import dual_complex, isomorphisms
+from .combinatorics import DEFAULT_SEARCH_BOUND, dual_complex, isomorphisms
 from .errors import IncomparableError, ValidationError
 
 LEVEL_EQUIVALENT = "equivalent"
@@ -102,7 +102,7 @@ def _certificate_search(p, lam, lam2, sigmas):
     return None
 
 
-def equivalent_pairs(p, lam, lam2, bound=12):
+def equivalent_pairs(p, lam, lam2, bound=DEFAULT_SEARCH_BOUND):
     """Certificate for equivalence of two pairs over the same polytope, or None."""
     return rigidity_verdict_complex(p, lam, p, lam2, bound=bound).certificate
 
@@ -118,7 +118,7 @@ def compare_kernel_bundles(t, t2):
     return intlat.hermite_row_form(m1) == intlat.hermite_row_form(m2)
 
 
-def rigidity_verdict_complex(p, lam, p2, lam2, bound=12):
+def rigidity_verdict_complex(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     """Full verdict for two complex inputs.
 
     Equivalent iff some isomorphism of the dual complexes admits an
@@ -154,7 +154,7 @@ def _signatures(labels):
     return Counter(frozenset(s) for s in members.values())
 
 
-def _functors_match(p, f, p2, f2, bound=12):
+def _functors_match(p, f, p2, f2, bound=DEFAULT_SEARCH_BOUND):
     """Label data equal up to dual-complex isomorphism and relabeling of the
     acting-coordinate universe.
 
@@ -173,7 +173,8 @@ def _functors_match(p, f, p2, f2, bound=12):
     return False
 
 
-def rigidity_verdict_quaternionic(p, f, tuple1, p2, f2, tuple2, bound=12):
+def rigidity_verdict_quaternionic(p, f, tuple1, p2, f2, tuple2,
+                                  bound=DEFAULT_SEARCH_BOUND):
     """Verdict for quaternionic inputs with computed primary tuples.
 
     Over a 4-dimensional base the primary degree-4 tuples are complete

@@ -16,7 +16,8 @@ from . import bundles, classify, cohomology, moment_angle
 from .charpair import (from_columns, isotropy_functor,
                        validate_characteristic_pair,
                        validate_quaternionic_functor, validate_global)
-from .combinatorics import dual_complex, simple_polytope, simplicial_complex
+from .combinatorics import (DEFAULT_SEARCH_BOUND, dual_complex, simple_polytope,
+                            simplicial_complex)
 from .errors import (BudgetError, IncomparableError, MomangError, ShapeError,
                      UnsupportedBaseError, ValidationError)
 
@@ -271,6 +272,9 @@ def _parse_coeffs(text, r, m):
         b = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed coefficient matrix: {exc.msg}") from exc
+    if not isinstance(b, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in b):
+        raise InputError("coefficient matrix must be a list of lists of integers")
     return b
 
 
@@ -293,7 +297,7 @@ def cmd_compare(args):
     if kinds == {(True, False)}:
         p1, l1 = _require_pair(obj1)
         p2, l2 = _require_pair(obj2)
-        verdict = classify.rigidity_verdict_complex(p1, l1, p2, l2, bound=args.budget or 12)
+        verdict = classify.rigidity_verdict_complex(p1, l1, p2, l2, bound=args.budget)
     elif kinds == {(False, True)}:
         p1 = parse_polytope(obj1["polytope"])
         f1 = parse_functor(obj1["functor"])
@@ -305,7 +309,7 @@ def cmd_compare(args):
         t1 = bundles.quaternionic_primary_tuple(p1, f1, b1)
         t2 = bundles.quaternionic_primary_tuple(p2, f2, b2)
         verdict = classify.rigidity_verdict_quaternionic(
-            p1, f1, t1, p2, f2, t2, bound=args.budget or 12)
+            p1, f1, t1, p2, f2, t2, bound=args.budget)
     else:
         raise IncomparableError("inputs mix complex and quaternionic data")
     cert = None
@@ -377,7 +381,7 @@ def build_parser():
     p_cmp.add_argument("second")
     p_cmp.add_argument("--coeffs", default=None)
     p_cmp.add_argument("--coeffs2", default=None)
-    p_cmp.add_argument("--budget", type=int, default=None)
+    p_cmp.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BOUND)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ex = sub.add_parser("examples", help="list the bundled corpus",

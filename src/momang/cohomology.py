@@ -198,20 +198,14 @@ def sr_presentation(k, deg=2):
 
 def quasitoric_presentation(p, lam):
     """Face ring of the dual complex modulo the rows of the matrix, in solved
-    form: the generators of the lexicographically first unimodular vertex are
+    form: the generators of the lexicographically first vertex are
     eliminated in favor of the remaining m - n."""
     report = validate_characteristic_pair(p, lam)
     if not report.valid:
         raise ValidationError("invalid pair: " + "; ".join(report.failures))
     k = dual_complex(p)
     m, n = p.facet_count, p.dim
-    vertex = None
-    for cand in sorted(tuple(sorted(v)) for v in p.vertices):
-        if abs(intlat.det(lam.columns(cand))) == 1:
-            vertex = cand
-            break
-    if vertex is None:
-        raise ValidationError("no vertex with a unimodular column submatrix")
+    vertex = min(tuple(sorted(v)) for v in p.vertices)  # unimodular, as the pair is valid
     kept = [i for i in range(1, m + 1) if i not in vertex]
     lam_v = lam.columns(vertex)
     lam_r = lam.columns(kept)

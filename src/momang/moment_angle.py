@@ -1,12 +1,14 @@
 """Disk-sphere cell models of moment-angle manifolds and their homology.
 
 Each coordinate carries the minimal CW structure of (D^2, S^1) in the
-complex flavor or (D^4, S^3) in the quaternionic one: a base point b, a
-sphere cell s, and a disc cell d with boundary s.  A cell of the model
-is a tuple over {b, s, d} whose d-support is a face of the complex; the
-boundary operator replaces one d by s with the usual product-complex
-Koszul sign.  The boundary keeps the set J of non-b coordinates, so
-the homology is computed one small block per J.
+complex flavor or (D^4, S^3) in the quaternionic one: a base point, a
+sphere cell of dimension c and a disc cell of dimension c + 1 (c = 1 or
+3).  A cell of the model is a pair (sigma, J): a face sigma of the
+complex, discs on sigma, spheres on J - sigma and base points elsewhere,
+of dimension |sigma| + c|J|.  The boundary keeps J, so the model splits
+into one block per J, the augmented simplicial chain complex of the full
+subcomplex K_J shifted by c|J| (Hochster's formula); both flavors share
+every block and differ only in the shift.
 """
 
 from dataclasses import dataclass
@@ -20,19 +22,16 @@ from .errors import BudgetError, ValidationError
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 
-CELL_DIMS = {
-    COMPLEX: {"b": 0, "s": 1, "d": 2},
-    QUATERNIONIC: {"b": 0, "s": 3, "d": 4},
-}
+SPHERE_DIMS = {COMPLEX: 1, QUATERNIONIC: 3}
 
-DEFAULT_BUDGETS = {COMPLEX: 10, QUATERNIONIC: 9}
+HOMOLOGY_BUDGET = 10
 
 
 @dataclass
 class CellModel:
     m: int
     flavor: str
-    cells: dict       # total dimension -> sorted list of tuples over "b","s","d"
+    cells: dict       # total dimension -> list of (face sigma, block J) pairs
     boundaries: dict  # (J, k) -> block matrix (rows: cells of J in k-1, cols: in k)
 
     def top_dimension(self):
@@ -42,19 +41,20 @@ class CellModel:
         return {k: len(v) for k, v in self.cells.items()}
 
 
-def dimension(k, flavor, n):
-    """Dimension of the moment-angle manifold over an n-polytope with m facets.
+def _sphere_dim(flavor):
+    if flavor not in SPHERE_DIMS:
+        raise ValidationError(f"unknown flavor {flavor!r}")
+    return SPHERE_DIMS[flavor]
 
-    The quaternionic count is 4n + 3(m - n) = 3m + n: each of the n disc
-    coordinates at a vertex chart contributes 4, each of the remaining
-    m - n sphere coordinates contributes 3.
+
+def dimension(k, flavor, n):
+    """Dimension n + c*m of the moment-angle manifold over an n-polytope.
+
+    Each of the n disc coordinates at a vertex chart contributes c + 1,
+    each of the remaining m - n sphere coordinates c, so the quaternionic
+    count is 4n + 3(m - n) = 3m + n.
     """
-    m = k.vertex_count
-    if flavor == COMPLEX:
-        return m + n
-    if flavor == QUATERNIONIC:
-        return 3 * m + n
-    raise ValidationError(f"unknown flavor {flavor!r}")
+    return n + _sphere_dim(flavor) * k.vertex_count
 
 
 @dataclass
@@ -81,51 +81,40 @@ def dimension_report(k, flavor, n):
 def build_cell_model(k, flavor, budget=None):
     """Enumerate the cells face by face and the boundary matrices block by block.
 
-    A cell is a face sigma of k and a set J containing it: d on sigma, s on
-    J - sigma, b elsewhere.  The boundary turns one d into s and keeps J, so
-    each boundary map is the direct sum of one block per J, up to signs and
-    a shift the augmented chain complex of the full subcomplex K_J
-    (Hochster's formula).  `boundaries` maps (J, dimension) to that block.
+    Block J holds the faces of K_J by size; the boundary of (sigma, J)
+    drops the vertex at position p of sigma with sign (-1)^p.  This sign
+    differs from the Koszul sign of the product complex by a sign change
+    of each cell, which leaves every invariant factor as it is.
+    `boundaries` maps (J, dimension) to the block's matrix.
     """
-    if flavor not in CELL_DIMS:
-        raise ValidationError(f"unknown flavor {flavor!r}")
+    shift = _sphere_dim(flavor)
     m = k.vertex_count
-    limit = DEFAULT_BUDGETS[flavor] if budget is None else budget
+    limit = HOMOLOGY_BUDGET if budget is None else budget
     if m > limit:
         raise BudgetError(
             f"cell enumeration over 3^{m} tuples exceeds the budget m <= {limit}", limit)
-    dims = CELL_DIMS[flavor]
-    blocks = {}  # J -> dimension -> cells whose non-b coordinates are J
+    blocks = {}  # J -> size -> faces of K_J
     for face in [()] + [f for level in enumerate_faces(k) for f in level]:
         rest = [i for i in range(1, m + 1) if i not in face]
         for size in range(len(rest) + 1):
             for extra in combinations(rest, size):
-                cell = tuple("d" if i in face else "s" if i in extra else "b"
-                             for i in range(1, m + 1))
                 levels = blocks.setdefault(tuple(sorted(face + extra)), {})
-                levels.setdefault(sum(dims[c] for c in cell), []).append(cell)
+                levels.setdefault(len(face), []).append(face)
 
     cells = {}
     boundaries = {}
     for block, levels in blocks.items():
-        for dim, level in levels.items():
-            cells.setdefault(dim, []).extend(level)
-            lower = levels.get(dim - 1)
-            if lower is None:
+        base = shift * len(block)
+        for size, level in levels.items():
+            cells.setdefault(size + base, []).extend((face, block) for face in level)
+            if not size:
                 continue
-            lower_index = {cell: j for j, cell in enumerate(lower)}
+            lower = {face: row for row, face in enumerate(levels[size - 1])}
             matrix = [[0] * len(level) for _ in lower]
-            for col, cell in enumerate(level):
-                prefix = 0
-                for i, c in enumerate(cell):
-                    if c == "d":
-                        target = cell[:i] + ("s",) + cell[i + 1:]
-                        sign = -1 if prefix % 2 else 1
-                        matrix[lower_index[target]][col] += sign
-                    prefix += dims[c]
-            boundaries[(block, dim)] = matrix
-    for level in cells.values():
-        level.sort()
+            for col, face in enumerate(level):
+                for pos in range(size):
+                    matrix[lower[face[:pos] + face[pos + 1:]]][col] = -1 if pos % 2 else 1
+            boundaries[(block, size + base)] = matrix
     return CellModel(m=m, flavor=flavor, cells=cells, boundaries=boundaries)
 
 

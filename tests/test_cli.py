@@ -89,9 +89,11 @@ def test_homology_output(capsys):
 def test_homology_budget_exit(capsys, tmp_path):
     obj = {"m": 11, "maximal_faces": [[i] for i in range(1, 12)]}
     path = write_json(tmp_path, "big.json", obj)
-    code, _, err = run(capsys, "homology", path)
-    assert code == 5
-    assert "budget" in err
+    for flavor in ("complex", "quaternionic"):
+        code, _, err = run(capsys, "homology", path, "--flavor", flavor)
+        assert code == 5
+        assert err == ("budget exceeded: cell enumeration over 3^11 tuples "
+                       "exceeds the budget m <= 10\n")
 
 
 def test_homology_quaternionic_flavor(capsys):
@@ -126,17 +128,18 @@ def test_homology_of_complex_10_gon_inside_default_budget(capsys, tmp_path):
     assert [ranks[d] for d in range(3, 10)] == [35, 160, 350, 448, 350, 160, 35]
 
 
-def test_homology_of_quaternionic_9_gon_inside_default_budget(capsys, tmp_path):
-    code, out, err = run(capsys, "homology", write_json(tmp_path, "p.json", polygon(9)),
+@pytest.mark.parametrize("m", [9, 10])
+def test_homology_of_quaternionic_m_gon_inside_default_budget(capsys, tmp_path, m):
+    code, out, err = run(capsys, "homology", write_json(tmp_path, "p.json", polygon(m)),
                          "--flavor", "quaternionic")
     assert code == 0, err
     data = json.loads(out)
     # a class from the reduced homology H_i(K_J) has complex degree
     # |J| + i + 1 and quaternionic degree 3|J| + i + 1: the middle classes
     # (i = 0, |J| = d - 1) move from d to 3d - 2, the top one to 3m + 2
-    moved = {0: 0, 11: 29, **{d: 3 * d - 2 for d in range(3, 9)}}
-    want = {d: 0 for d in range(30)}
-    want.update({moved[d]: mcgavran_rank(9, d) for d in moved})
+    moved = {0: 0, m + 2: 3 * m + 2, **{d: 3 * d - 2 for d in range(3, m)}}
+    want = {d: 0 for d in range(3 * m + 3)}
+    want.update({moved[d]: mcgavran_rank(m, d) for d in moved})
     assert {d["k"]: d["rank"] for d in data["degrees"]} == want
     assert all(not d["torsion"] for d in data["degrees"])
 
@@ -232,6 +235,15 @@ def test_qprimary_default_and_explicit_coeffs(capsys):
     assert json.loads(out)["classes"] == [[2]]
 
 
+@pytest.mark.parametrize("command", ["qprimary", "compare"])
+@pytest.mark.parametrize("coeffs", ["5", "null", "[[1.5, 0]]", "[[true, 0]]"])
+def test_malformed_coeffs_are_an_input_error(capsys, command, coeffs):
+    inputs = ["corpus:hp1-hopf"] * (2 if command == "compare" else 1)
+    code, out, err = run(capsys, command, *inputs, "--coeffs", coeffs)
+    assert code == 1 and not out
+    assert err.startswith("input error:")
+
+
 def test_compare_equivalent(capsys):
     code, out, _ = run(capsys, "compare", "corpus:hirzebruch-1",
                        "corpus:hirzebruch-1")
@@ -246,6 +258,13 @@ def test_compare_inequivalent(capsys):
                        "corpus:hirzebruch-2")
     assert code == 3
     assert json.loads(out)["level"] == "inequivalent"
+
+
+def test_compare_budget_zero_is_a_budget_error(capsys):
+    code, out, err = run(capsys, "compare", "corpus:hirzebruch-1",
+                         "corpus:hirzebruch-2", "--budget", "0")
+    assert code == 5 and not out
+    assert "budget" in err
 
 
 def test_compare_incomparable(capsys):

@@ -50,9 +50,15 @@ RP2_6 = simplicial_complex(6, [[1, 2, 4], [1, 3, 4], [1, 3, 5], [1, 2, 6], [1, 5
                                [2, 3, 5], [2, 3, 6], [2, 4, 5], [3, 4, 6], [4, 5, 6]])
 
 
+# dimensions of the base point, sphere and disc cell of each coordinate
+TUPLE_DIMS = {ma.COMPLEX: {"b": 0, "s": 1, "d": 2},
+              ma.QUATERNIONIC: {"b": 0, "s": 3, "d": 4}}
+
+
 def reference_homology(k, flavor):
-    # one global Smith form per degree over all 3^m filtered tuples
-    dims = ma.CELL_DIMS[flavor]
+    # one global Smith form per degree over all 3^m filtered tuples,
+    # with the Koszul sign of the product complex
+    dims = TUPLE_DIMS[flavor]
     cells = {}
     for tup in product("bds", repeat=k.vertex_count):
         support = [i + 1 for i, c in enumerate(tup) if c == "d"]
@@ -114,23 +120,56 @@ def test_boundary_squares_to_zero():
                     assert all(all(x == 0 for x in row) for row in prod)
 
 
+def as_tuple(cell, m):
+    face, block = cell
+    return tuple("d" if i in face else "s" if i in block else "b" for i in range(1, m + 1))
+
+
+def check_blocks_partition_the_cells(k, flavor):
+    m = k.vertex_count
+    dims = TUPLE_DIMS[flavor]
+    model = ma.build_cell_model(k, flavor)
+    tuples = [(dim, as_tuple(cell, m)) for dim, level in model.cells.items()
+              for cell in level]
+    assert len(set(tuples)) == len(tuples)
+    assert all(dim == sum(dims[c] for c in tup) for dim, tup in tuples)
+    assert {tup for _, tup in tuples} == {
+        tup for tup in product("bds", repeat=m)
+        if "d" not in tup or k.is_face([i + 1 for i, c in enumerate(tup) if c == "d"])}
+
+    def in_block(dim, block):
+        return [c for c in model.cells.get(dim, []) if c[1] == block]
+
+    for (block, dim), mat in model.boundaries.items():
+        assert len(mat) == len(in_block(dim - 1, block)) > 0
+        assert len(mat[0]) == len(in_block(dim, block))
+
+
 def test_blocks_partition_the_cells():
     rng = random.Random(13)
     for trial in range(10):
         k = random_complex(rng, rng.randint(2, 5))
-        model = ma.build_cell_model(k, ma.COMPLEX)
-        cells = {cell for level in model.cells.values() for cell in level}
-        assert cells == {tup for tup in product("bds", repeat=k.vertex_count)
-                         if "d" not in tup
-                         or k.is_face([i + 1 for i, c in enumerate(tup) if c == "d"])}
+        for flavor in (ma.COMPLEX, ma.QUATERNIONIC):
+            check_blocks_partition_the_cells(k, flavor)
 
-        def in_block(dim, block):
-            return [c for c in model.cells.get(dim, [])
-                    if tuple(i + 1 for i, x in enumerate(c) if x != "b") == block]
 
-        for (block, dim), mat in model.boundaries.items():
-            assert len(mat) == len(in_block(dim - 1, block)) > 0
-            assert len(mat[0]) == len(in_block(dim, block))
+def test_quaternionic_blocks_are_shifted_complex_blocks():
+    rng = random.Random(17)
+    for trial in range(10):
+        k = random_complex(rng, rng.randint(2, 5))
+        cx = ma.build_cell_model(k, ma.COMPLEX).boundaries
+        qu = ma.build_cell_model(k, ma.QUATERNIONIC).boundaries
+        assert len(cx) == len(qu)
+        for (block, dim), mat in cx.items():
+            assert qu[(block, dim + 2 * len(block))] == mat
+
+
+def test_top_dimension_is_the_manifold_dimension():
+    polygon = [[i, i % 6 + 1] for i in range(1, 7)]
+    for k, n in [(square_dual(), 2), (simplex_dual(3), 3),
+                 (dual_complex(simple_polytope(6, 2, polygon)), 2)]:
+        for flavor in (ma.COMPLEX, ma.QUATERNIONIC):
+            assert ma.build_cell_model(k, flavor).top_dimension() == ma.dimension(k, flavor, n)
 
 
 @pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
@@ -163,12 +202,10 @@ def test_merge_torsion_gives_invariant_factors():
 
 def test_budget_enforced():
     k = simplicial_complex(11, [[i] for i in range(1, 12)])
-    with pytest.raises(BudgetError) as exc:
-        ma.build_cell_model(k, ma.COMPLEX)
-    assert exc.value.bound == 10
-    with pytest.raises(BudgetError):
-        ma.build_cell_model(simplicial_complex(10, [[i] for i in range(1, 11)]),
-                            ma.QUATERNIONIC)
+    for flavor in (ma.COMPLEX, ma.QUATERNIONIC):
+        with pytest.raises(BudgetError) as exc:
+            ma.build_cell_model(k, flavor)
+        assert exc.value.bound == 10
 
 
 def test_simplex_models_are_spheres_complex():
