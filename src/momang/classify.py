@@ -2,15 +2,16 @@
 
 Two characteristic pairs are equivalent when one matrix is carried to
 the other by a unimodular base change, an isomorphism of the dual
-complexes, and per-facet signs; the search anchors on a fixed vertex,
-solves for the base change, and verifies it columnwise.  Kernel
+complexes, and per-facet signs.  The search anchors on a fixed vertex:
+once both matrices are written in the basis of their anchor columns,
+the base change is a diagonal sign matrix, and it and the facet signs
+are solved for in closed form for each isomorphism.  Kernel
 bundles are compared as sublattices of the degree-2 component, which is
 exactly equivalence up to reparametrizing the kernel torus.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 
 from . import intlat
 from .charpair import (from_columns, validate_characteristic_pair,
@@ -66,39 +67,64 @@ class RigidityVerdict:
     bundle_report: dict = field(default_factory=dict)
 
 
+def _solve_signs(n1, n2):
+    """Row signs e and column signs s with e[r]*n1[r][i] == s[i]*n2[r][i]
+    for every entry, or None.
+
+    One propagation over the rows that share a nonzero column; the first
+    row of each connected class takes +, which makes e the first working
+    pattern in lexicographic order with + before -.
+    """
+    n, m = len(n1), len(n1[0])
+    e, s = [0] * n, [0] * m
+    for start in range(n):
+        if e[start]:
+            continue
+        e[start], stack = 1, [start]
+        while stack:
+            r = stack.pop()
+            for i, (a, b) in enumerate(zip(n1[r], n2[r])):
+                want = e[r] if a == b else -e[r]
+                if abs(a) != abs(b) or (a and s[i] == -want):
+                    return None
+                if a and not s[i]:
+                    s[i] = want
+                    for r2 in range(n):
+                        if n1[r2][i] and not e[r2]:
+                            e[r2] = want if n1[r2][i] == n2[r2][i] else -want
+                            stack.append(r2)
+    return e, s
+
+
 def _certificate_search(p, lam, lam2, sigmas):
-    """Anchor-vertex search over the given facet bijections onto lam2's polytope."""
-    n = p.dim
+    """First certificate along the given facet bijections onto lam2's polytope.
+
+    With M1 the columns of lam at an anchor vertex and M2 their images,
+    any certificate has delta = M2.E.M1^-1 for a diagonal sign matrix E,
+    so the normal forms N = M^-1.lam must satisfy
+    E.N1[:, i] = s_i.N2[:, sigma(i)] column by column; `_solve_signs`
+    finds E and s.  N2 is computed once per vertex of the second polytope
+    and its rows are reordered to each anchor image.
+    """
     anchor = min(tuple(sorted(v)) for v in p.vertices)
-    m1 = lam.columns(anchor)
+    m1_inv = intlat.inverse_unimodular(lam.columns(anchor))
+    n1 = intlat.mat_mul(m1_inv, lam.rows())
+    normal = {}  # vertex of lam2's polytope -> facet -> row of M2^-1.lam2
     for sigma in sigmas:
         image = [sigma[i - 1] for i in anchor]
+        vertex = tuple(sorted(image))
+        if vertex not in normal:
+            rows = intlat.mat_mul(intlat.inverse_unimodular(lam2.columns(vertex)),
+                                  lam2.rows())
+            normal[vertex] = dict(zip(vertex, rows))
+        n2 = [[row[j - 1] for j in sigma] for row in map(normal[vertex].get, image)]
+        solved = _solve_signs(n1, n2)
+        if solved is None:
+            continue
+        e, signs = solved
         m2 = lam2.columns(image)
-        for eps in product((1, -1), repeat=n):
-            signed = [[m1[r][c] * eps[c] for c in range(n)] for r in range(n)]
-            if abs(intlat.det(signed)) != 1:
-                continue
-            delta = intlat.mat_mul(m2, intlat.inverse_unimodular(signed))
-            if abs(intlat.det(delta)) != 1:
-                continue
-            signs = [0] * lam.m
-            for pos, i in enumerate(anchor):
-                signs[i - 1] = eps[pos]
-            ok = True
-            for i in range(1, lam.m + 1):
-                if signs[i - 1]:
-                    continue
-                cand = intlat.mat_vec(delta, lam.column(i))
-                target = lam2.column(sigma[i - 1])
-                if cand == target:
-                    signs[i - 1] = 1
-                elif [-x for x in cand] == target:
-                    signs[i - 1] = -1
-                else:
-                    ok = False
-                    break
-            if ok:
-                return EquivalenceCertificate(delta, tuple(sigma), tuple(signs))
+        delta = intlat.mat_mul([[x * y for x, y in zip(row, e)] for row in m2], m1_inv)
+        return EquivalenceCertificate(delta, tuple(sigma), tuple(signs))
     return None
 
 

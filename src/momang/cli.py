@@ -203,6 +203,9 @@ def cmd_homology(args):
     obj = load_input(args.input)
     k, _p = _input_complex(obj)
     flavor = args.flavor or obj.get("flavor", moment_angle.COMPLEX)
+    if flavor not in (moment_angle.COMPLEX, moment_angle.QUATERNIONIC):
+        raise InputError(f"unknown flavor {flavor!r}; expected "
+                         f"{moment_angle.COMPLEX!r} or {moment_angle.QUATERNIONIC!r}")
     model = moment_angle.build_cell_model(k, flavor, budget=args.budget)
     profile = moment_angle.homology(model)
     data = {

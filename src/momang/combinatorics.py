@@ -177,16 +177,24 @@ def minimal_non_faces(k):
     return result
 
 
-def _vertex_signature(k, vertex):
-    return tuple(sorted(len(f) for f in k.maximal_faces if vertex in f))
+def _vertex_data(k):
+    """Per vertex: sorted sizes of the maximal faces through it, and its
+    neighbours (the other vertices of those faces)."""
+    through = {v: [f for f in k.maximal_faces if v in f]
+               for v in range(1, k.vertex_count + 1)}
+    return ({v: tuple(sorted(map(len, fs))) for v, fs in through.items()},
+            {v: set().union(*fs) - {v} for v, fs in through.items()})
 
 
 def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):
     """All vertex bijections mapping faces of k1 onto faces of k2.
 
-    Exhaustive backtracking over vertex images, pruned by incidence
-    signatures and by completed maximal faces.  Each result maps vertex
-    i to result[i-1].
+    Exhaustive backtracking over vertex images in increasing order.  A
+    candidate image must match the vertex's signature and keep adjacency
+    and non-adjacency with every vertex already placed (an isomorphism
+    maps the 1-skeleton onto the 1-skeleton); placing vertex v then
+    checks the maximal faces whose largest vertex is v.  Each result
+    maps vertex i to result[i-1].
     """
     m = k1.vertex_count
     if m > bound:
@@ -197,8 +205,11 @@ def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):
     sizes2 = sorted(len(f) for f in k2.maximal_faces)
     if sizes1 != sizes2:
         return []
-    sig2 = {v: _vertex_signature(k2, v) for v in range(1, m + 1)}
-    faces1 = [frozenset(f) for f in sorted(k1.maximal_faces, key=sorted)]
+    sig1, adj1 = _vertex_data(k1)
+    sig2, adj2 = _vertex_data(k2)
+    closing = {v: [] for v in sig1}  # largest vertex -> maximal faces of k1
+    for f in k1.maximal_faces:
+        closing[max(f)].append(tuple(f))
     target_faces = k2.maximal_faces
     results = []
     image = [0] * (m + 1)  # 1-based
@@ -208,22 +219,19 @@ def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):
         if vertex > m:
             results.append(tuple(image[1:]))
             return
-        want = _vertex_signature(k1, vertex)
         for cand in range(1, m + 1):
-            if cand in used or sig2[cand] != want:
+            if cand in used or sig2[cand] != sig1[vertex]:
+                continue
+            if any((image[w] in adj2[cand]) != (w in adj1[vertex])
+                   for w in range(1, vertex)):
                 continue
             image[vertex] = cand
-            used.add(cand)
-            ok = True
-            for f in faces1:
-                if vertex in f and all(w <= vertex for w in f):
-                    if frozenset(image[w] for w in f) not in target_faces:
-                        ok = False
-                        break
-            if ok:
+            if all(frozenset(map(image.__getitem__, f)) in target_faces
+                   for f in closing[vertex]):
+                used.add(cand)
                 extend(vertex + 1)
-            used.discard(cand)
-            image[vertex] = 0
+                used.discard(cand)
+        image[vertex] = 0
 
     extend(1)
     return results

@@ -13,7 +13,7 @@ every block and differ only in the shift.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .combinatorics import enumerate_faces
 from .intlat import AbelianGroupInvariants, invariant_factors
@@ -135,10 +135,22 @@ class HomologyProfile:
 
 
 def homology(model):
-    """Integral homology of the model from one Smith form per boundary block."""
+    """Integral homology of the model from one Smith form per boundary block.
+
+    A block whose non-empty J is a face of K is the augmented chain
+    complex of a simplex, which is exact: its boundary out of faces of
+    size s has rank C(|J|-1, s-1) and every invariant factor 1, so it
+    needs no Smith form.  The block of the empty J keeps its Z.
+    """
+    shift = _sphere_dim(model.flavor)
     factors = {}
-    for (_, dim), mat in model.boundaries.items():
-        factors.setdefault(dim, []).extend(invariant_factors(mat))
+    for (block, dim), mat in model.boundaries.items():
+        j = len(block)
+        if (block, j * (shift + 1)) in model.boundaries:  # J is a face
+            found = [1] * comb(j - 1, dim - shift * j - 1)
+        else:
+            found = invariant_factors(mat)
+        factors.setdefault(dim, []).extend(found)
     groups = {}
     for deg in range(model.top_dimension() + 1):
         above = factors.get(deg + 1, [])

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
+import pairgen
 from momang import bundles, classify, intlat
 from momang.charpair import from_columns, isotropy_functor
 from momang.combinatorics import (automorphisms, dual_complex, isomorphisms,
@@ -189,6 +190,76 @@ def test_complex_verdict_matches_oracle_on_disguised_pairs():
             cert = verdict.certificate
             assert cert.apply(hirzebruch(a)).rows() == disguised.rows()
             assert cert.sigma in isomorphisms(dual_complex(p), dual_complex(q))
+
+
+def reference_certificate_search(p, lam, lam2, sigmas):
+    """The seed search: 2^n sign patterns on the anchor columns per
+    isomorphism, each solved for delta by a unimodular inverse."""
+    n = p.dim
+    anchor = min(tuple(sorted(v)) for v in p.vertices)
+    m1 = lam.columns(anchor)
+    for sigma in sigmas:
+        m2 = lam2.columns([sigma[i - 1] for i in anchor])
+        for eps in product((1, -1), repeat=n):
+            signed = [[m1[r][c] * eps[c] for c in range(n)] for r in range(n)]
+            if abs(intlat.det(signed)) != 1:
+                continue
+            delta = intlat.mat_mul(m2, intlat.inverse_unimodular(signed))
+            if abs(intlat.det(delta)) != 1:
+                continue
+            signs = [0] * lam.m
+            for pos, i in enumerate(anchor):
+                signs[i - 1] = eps[pos]
+            for i in range(1, lam.m + 1):
+                if signs[i - 1]:
+                    continue
+                cand = intlat.mat_vec(delta, lam.column(i))
+                target = lam2.column(sigma[i - 1])
+                if cand == target:
+                    signs[i - 1] = 1
+                elif [-x for x in cand] == target:
+                    signs[i - 1] = -1
+                else:
+                    break
+            else:
+                return classify.EquivalenceCertificate(delta, tuple(sigma), tuple(signs))
+    return None
+
+
+PAIR_FAMILIES = {
+    "square": (pairgen.cube(2), lambda r: pairgen.staged_columns(r, [1, 1], twist=3)),
+    "prism": (pairgen.simplex_product([1, 2]),
+              lambda r: pairgen.staged_columns(r, [1, 2])),
+    "d2xd2": (pairgen.simplex_product([2, 2]),
+              lambda r: pairgen.staged_columns(r, [2, 2])),
+    "3-cube": (pairgen.cube(3), lambda r: pairgen.staged_columns(r, [1, 1, 1])),
+    "4-cube": (pairgen.cube(4), lambda r: pairgen.staged_columns(r, [1] * 4)),
+    "6-gon": (pairgen.polygon(6), lambda r: pairgen.polygon_columns(r, 6)),
+    "7-gon": (pairgen.polygon(7), lambda r: pairgen.polygon_columns(r, 7)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
+def test_certificate_search_matches_the_seed_search(family):
+    # each pair against a disguised copy of itself and of a twisted sibling
+    rng = random.Random(family)
+    p, make = PAIR_FAMILIES[family]
+    trials = 2 if family == "4-cube" else 8
+    found = 0
+    for trial in range(trials):
+        cols = make(rng)
+        q, lam2 = pairgen.disguise(rng, p, cols if trial % 2 == 0 else make(rng))
+        lam = from_columns(cols)
+        isos = isomorphisms(dual_complex(p), dual_complex(q))
+        cert = classify._certificate_search(p, lam, lam2, isos)
+        want = reference_certificate_search(p, lam, lam2, isos)
+        assert (cert is None) == (want is None), trial
+        if cert is not None:
+            assert (cert.delta, cert.sigma, cert.signs) == (
+                want.delta, want.sigma, want.signs), trial
+            assert cert.apply(lam).rows() == lam2.rows()
+            found += 1
+    assert found >= trials // 2
 
 
 def test_quaternionic_verdicts_base_dim_four():

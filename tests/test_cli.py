@@ -1,9 +1,12 @@
 import json
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from momang import cli
+import pairgen
+from momang import classify, cli, intlat
 
 
 def run(capsys, *argv):
@@ -104,6 +107,21 @@ def test_homology_quaternionic_flavor(capsys):
     ranks = {d["k"]: d["rank"] for d in data["degrees"]}
     assert ranks[0] == 1 and ranks[7] == 1
     assert sum(ranks.values()) == 2
+
+
+@pytest.mark.parametrize("flavor", [["complex"], 5, None, "", "Complex"])
+def test_homology_flavor_from_the_file_is_checked(capsys, tmp_path, flavor):
+    obj = {"m": 2, "maximal_faces": [[1], [2]], "flavor": flavor}
+    code, out, err = run(capsys, "homology", write_json(tmp_path, "k.json", obj))
+    assert code == 1 and not out
+    assert err.startswith("input error: unknown flavor")
+
+
+def test_homology_flavor_from_the_file_is_used(capsys, tmp_path):
+    obj = {"m": 2, "maximal_faces": [[1], [2]], "flavor": "quaternionic"}
+    code, out, _ = run(capsys, "homology", write_json(tmp_path, "k.json", obj))
+    assert code == 0
+    assert json.loads(out)["flavor"] == "quaternionic"
 
 
 def polygon(m):
@@ -315,6 +333,47 @@ def test_compare_quaternionic_large_universe(capsys, tmp_path):
     code, out, _ = run(capsys, "compare", first, second)
     assert code == 0
     assert json.loads(out)["bundle"]["functors_match"] is True
+
+
+def cube_pair_files(tmp_path, n, seed, equivalent):
+    """A Bott tower over the n-cube and a disguised copy of it, or of a
+    tower with a different |minor| multiset."""
+    def minors(cols):
+        return sorted(abs(intlat.det([[c[r] for c in sub] for r in range(n)]))
+                      for sub in combinations(cols, n))
+
+    rng = random.Random(seed)
+    p = pairgen.cube(n)
+    first = pairgen.staged_columns(rng, [1] * n)
+    second = first
+    while not equivalent and minors(second) == minors(first):
+        second = pairgen.staged_columns(rng, [1] * n)
+    q, lam2 = pairgen.disguise(rng, p, second)
+
+    def body(poly, cols):
+        return {"polytope": {"m": poly.facet_count, "n": n,
+                             "vertices": [sorted(v) for v in poly.vertices]},
+                "characteristic": {"n": n, "m": poly.facet_count, "columns": cols}}
+
+    cols2 = [lam2.column(i) for i in range(1, lam2.m + 1)]
+    return (write_json(tmp_path, "a.json", body(p, first)),
+            write_json(tmp_path, "b.json", body(q, cols2)), first, cols2)
+
+
+def test_compare_5_cube_inside_the_default_budget(capsys, tmp_path):
+    # m = 10: the inequivalent verdict lists all 3840 isomorphisms
+    a, b, _, _ = cube_pair_files(tmp_path, 5, 1, equivalent=False)
+    code, out, err = run(capsys, "compare", a, b)
+    assert code == 3, err
+    assert json.loads(out)["level"] == "inequivalent"
+    a, b, cols1, cols2 = cube_pair_files(tmp_path, 5, 2, equivalent=True)
+    code, out, err = run(capsys, "compare", a, b)
+    assert code == 0, err
+    cert = json.loads(out)["certificate"]
+    lam = cli.parse_characteristic({"columns": cols1})
+    applied = classify.EquivalenceCertificate(
+        cert["delta"], tuple(cert["sigma"]), tuple(cert["signs"])).apply(lam)
+    assert applied.rows() == cli.parse_characteristic({"columns": cols2}).rows()
 
 
 def test_compare_mixed_flavors(capsys):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import pairgen
 from momang import combinatorics as comb
 from momang.errors import BudgetError, ValidationError
 
@@ -115,6 +118,63 @@ def test_isomorphism_budget():
         comb.automorphisms(k)
     assert exc.value.bound == 12
     assert len(comb.automorphisms(k, bound=13)) == 26
+
+
+def reference_isomorphisms(k1, k2):
+    """The seed search: backtracking over vertex images, pruned only by
+    incidence signatures and by scanning every maximal face at every node."""
+    def signature(k, vertex):
+        return tuple(sorted(len(f) for f in k.maximal_faces if vertex in f))
+
+    m = k1.vertex_count
+    if k2.vertex_count != m:
+        return []
+    if (sorted(len(f) for f in k1.maximal_faces)
+            != sorted(len(f) for f in k2.maximal_faces)):
+        return []
+    sig2 = {v: signature(k2, v) for v in range(1, m + 1)}
+    faces1 = [frozenset(f) for f in sorted(k1.maximal_faces, key=sorted)]
+    results = []
+    image = [0] * (m + 1)
+    used = set()
+
+    def extend(vertex):
+        if vertex > m:
+            results.append(tuple(image[1:]))
+            return
+        want = signature(k1, vertex)
+        for cand in range(1, m + 1):
+            if cand in used or sig2[cand] != want:
+                continue
+            image[vertex] = cand
+            used.add(cand)
+            if all(frozenset(image[w] for w in f) in k2.maximal_faces
+                   for f in faces1 if vertex in f and all(w <= vertex for w in f)):
+                extend(vertex + 1)
+            used.discard(cand)
+            image[vertex] = 0
+
+    extend(1)
+    return results
+
+
+def test_isomorphisms_match_the_seed_search_in_order():
+    rng = random.Random(23)
+    named = [comb.dual_complex(p) for p in (
+        pairgen.polygon(10), pairgen.polygon(12), pairgen.cube(3), pairgen.cube(4),
+        pairgen.simplex_product([1, 2]), pairgen.simplex_product([2, 2]),
+        pairgen.simplex_product([1, 1, 2]))]
+    randoms = [pairgen.random_complex(rng, rng.randint(3, 8)) for _ in range(20)]
+    total = 0
+    for k in named + randoms:
+        perm = list(range(1, k.vertex_count + 1))
+        rng.shuffle(perm)
+        for k2 in (k, pairgen.relabel_complex(k, perm), rng.choice(randoms)):
+            want = reference_isomorphisms(k, k2)
+            assert comb.isomorphisms(k, k2) == want, (k, k2)
+            total += len(want)
+    assert len(comb.automorphisms(comb.dual_complex(pairgen.cube(4)))) == 384
+    assert total > 1000
 
 
 def test_face_poset_square():

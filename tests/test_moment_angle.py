@@ -192,6 +192,19 @@ def test_rp2_torsion_matches_global_smith_form(flavor, degree):
     assert got == reference_homology(RP2_6, flavor)
 
 
+@pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
+def test_simplex_blocks_skip_the_smith_form(flavor):
+    # every non-empty block of the full simplex, and every proper one of
+    # its boundary, is an exact simplex block and is counted, not reduced
+    for m in range(1, 8):
+        full = simplicial_complex(m, [range(1, m + 1)])
+        cases = [full] if m == 1 else [full, simplex_dual(m - 1)]
+        for k in cases:
+            profile = ma.homology(ma.build_cell_model(k, flavor))
+            got = {d: (g.free_rank, list(g.torsion)) for d, g in profile.groups.items()}
+            assert got == reference_homology(k, flavor), (m, k)
+
+
 def test_merge_torsion_gives_invariant_factors():
     assert ma._merge_torsion([2, 3]) == [6]
     assert ma._merge_torsion([4, 6]) == [2, 12]
