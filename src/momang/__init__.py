@@ -9,11 +9,11 @@ moment-angle manifolds for verification.
 
 from .combinatorics import (SimplePolytopeData, SimplicialComplexData,
                             automorphisms, dual_complex, enumerate_faces,
-                            face_poset, isomorphisms, minimal_non_faces,
-                            simple_polytope, simplicial_complex)
+                            isomorphisms, minimal_non_faces, simple_polytope,
+                            simplicial_complex)
 from .intlat import (AbelianGroupInvariants, SmithDecomposition,
-                     hermite_row_form, is_primitive, kernel_basis,
-                     maximal_minor_gcd, smith_normal_form, solve_integer)
+                     hermite_row_form, kernel_basis, maximal_minor_gcd,
+                     smith_normal_form, solve_integer)
 from .charpair import (CharacteristicMatrix, QuaternionicIsotropyFunctor,
                        characteristic_matrix, from_columns, isotropy_functor,
                        validate_characteristic_pair, validate_global,
@@ -23,8 +23,7 @@ from .moment_angle import (COMPLEX, QUATERNIONIC, build_cell_model, dimension,
 from .cohomology import (facet_class, graded_component, multiply,
                          quasitoric_presentation, sr_presentation,
                          total_chern_class)
-from .bundles import (kernel_chern_classes, kernel_sequence,
-                      quaternionic_primary_tuple)
+from .bundles import kernel_chern_classes, quaternionic_primary_tuple
 from .classify import (compare_kernel_bundles, equivalent_pairs,
                        rigidity_verdict_complex, rigidity_verdict_quaternionic)
 

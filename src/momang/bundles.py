@@ -1,4 +1,4 @@
-"""Kernel exact-sequence data and characteristic-class tuples of kernel bundles.
+"""Characteristic-class tuples of kernel bundles.
 
 The characteristic matrix defines a torus surjection with kernel a rank
 m - n subtorus acting freely on the moment-angle manifold; its quotient
@@ -15,33 +15,6 @@ from .cohomology import facet_class, quasitoric_presentation, CohomologyClass
 from .combinatorics import dual_complex
 from .errors import (IntegrityError, ShapeError, UnsupportedBaseError,
                      ValidationError)
-
-
-@dataclass
-class KernelBasis:
-    """Rows form a saturated Z-basis of the kernel of the characteristic matrix."""
-
-    a: list  # (m-n) x m
-
-
-def kernel_sequence(lam):
-    """Kernel basis and an integral splitting of the torus surjection.
-
-    Returns (A, S) with the rows of A a saturated basis of ker(lam) and
-    S an m x n section with lam @ S = identity.  The section exists iff
-    the matrix is surjective over the integers (all invariant factors 1),
-    which holds whenever some vertex submatrix is unimodular.
-    """
-    rows = lam.rows()
-    n, m = lam.n, lam.m
-    snf = intlat.smith_normal_form(rows)
-    if snf.invariant_factors() != [1] * n:
-        raise ValidationError(
-            "matrix is not integrally surjective; the sequence does not split")
-    a = intlat.kernel_basis(rows)
-    embed = [[1 if i == j else 0 for j in range(n)] for i in range(m)]
-    s = intlat.mat_mul(intlat.mat_mul(snf.v, embed), snf.u)
-    return KernelBasis(a=a), s
 
 
 @dataclass

@@ -6,9 +6,10 @@ primitive column per facet) and quaternionic isotropy functors
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 from . import intlat
-from .combinatorics import face_poset
+from .combinatorics import dual_complex, enumerate_faces
 from .errors import ShapeError, ValidationError
 
 
@@ -61,42 +62,38 @@ class PairReport:
 
 
 def validate_characteristic_pair(p, lam):
-    """Check the nonsingularity condition of the pair facewise.
+    """Check the nonsingularity condition of the pair at its vertices.
 
-    Every column must be primitive, every vertex submatrix must have
-    determinant +-1, and every lower-dimensional face must have maximal
-    minor gcd 1 (the lattice form of injectivity of the induced torus
-    map at that face).
+    Every vertex submatrix must have determinant +-1; that alone decides
+    validity (Davis-Januszkiewicz).  Every face lies in a vertex, and the
+    columns of a face of a unimodular vertex are part of a basis, so
+    such a face has maximal-minor gcd 1 and its columns are primitive.
+    Only the faces that no unimodular vertex contains have their gcd
+    computed, to say why the pair fails; a column is primitive iff its
+    one-facet face has gcd 1.
     """
     if lam.m != p.facet_count or lam.n != p.dim:
         raise ShapeError(
             f"matrix is {lam.n}x{lam.m} but polytope has n={p.dim}, m={p.facet_count}")
-    failures = []
-    primitivity = {}
-    for i in range(1, lam.m + 1):
-        col = lam.column(i)
-        ok = any(col) and intlat.is_primitive(col)
-        primitivity[i] = ok
-        if not ok:
-            failures.append(f"column of facet {i} is not primitive: {col}")
-    vertex_dets = {}
-    face_gcds = {}
-    for face, codim in face_poset(p):
-        if codim == 0:
-            continue
-        sub = lam.columns(face)
-        if codim == lam.n:
-            d = intlat.det(sub)
-            vertex_dets[face] = d
-            if abs(d) != 1:
-                failures.append(f"vertex {list(face)} has determinant {d}, expected +-1")
-        else:
-            g = intlat.maximal_minor_gcd(intlat.transpose(sub))
-            face_gcds[face] = g
-            if g != 1:
-                failures.append(f"face {list(face)} has maximal-minor gcd {g}, expected 1")
+    faces = enumerate_faces(dual_complex(p))
+    vertex_dets = {v: intlat.det(lam.columns(v)) for v in faces[-1]}
+    in_basis = {f for v, d in vertex_dets.items() if abs(d) == 1
+                for k in range(1, lam.n + 1) for f in combinations(v, k)}
+    # a column is primitive iff its one-facet face has gcd 1; when n = 1
+    # those faces are the vertices, and their gcds go in no table
+    gcds = {f: 1 if f in in_basis
+            else intlat.maximal_minor_gcd(intlat.transpose(lam.columns(f)))
+            for level in faces[:max(lam.n - 1, 1)] for f in level}
+    primitivity = {i: gcds[(i,)] == 1 for i in range(1, lam.m + 1)}
+    face_gcds = gcds if lam.n > 1 else {}
+    failures = [f"column of facet {i} is not primitive: {lam.column(i)}"
+                for i, ok in primitivity.items() if not ok]
+    failures += [f"face {list(f)} has maximal-minor gcd {g}, expected 1"
+                 for f, g in face_gcds.items() if g != 1]
+    failures += [f"vertex {list(v)} has determinant {d}, expected +-1"
+                 for v, d in vertex_dets.items() if abs(d) != 1]
     return PairReport(
-        valid=not failures,
+        valid=all(abs(d) == 1 for d in vertex_dets.values()),
         column_primitivity=primitivity,
         vertex_determinants=vertex_dets,
         face_minor_gcds=face_gcds,
@@ -156,7 +153,7 @@ def validate_quaternionic_functor(p, f):
     disjoint = True
     seen = {}
     injective = True
-    for face, _codim in face_poset(p):
+    for face in chain.from_iterable(enumerate_faces(dual_complex(p))):
         union = set()
         total = 0
         for i in face:

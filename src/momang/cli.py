@@ -11,6 +11,7 @@ import json
 import sys
 from contextlib import contextmanager
 from importlib import resources
+from itertools import chain
 
 from . import bundles, classify, cohomology, moment_angle
 from .charpair import (from_columns, isotropy_functor,
@@ -61,7 +62,10 @@ def load_input(source):
     """Resolve an input argument: a JSON file path, or corpus:NAME."""
     if source.startswith("corpus:"):
         return _corpus_entry(source[len("corpus:"):])
-    return _load_json(source)
+    obj = _load_json(source)
+    if not isinstance(obj, dict):
+        raise InputError(f"{source} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 @contextmanager
@@ -75,24 +79,29 @@ def _reading(kind):
         raise InputError(f"malformed {kind} object: {exc}") from exc
 
 
+def _require_integers(values, what):
+    if not all(type(x) is int for x in values):
+        raise InputError(f"{what} must be integers")
+
+
 def parse_polytope(obj):
     with _reading("polytope"):
-        p = simple_polytope(obj["m"], obj["n"], obj["vertices"])
-        if not all(type(i) is int for v in p.vertices for i in v):
-            raise InputError("polytope vertices must list integer facets")
-    return p
+        _require_integers([obj["m"], obj["n"], *chain.from_iterable(obj["vertices"])],
+                          "polytope m, n and vertex facets")
+        return simple_polytope(obj["m"], obj["n"], obj["vertices"])
 
 
 def parse_complex(obj):
     with _reading("complex"):
+        _require_integers([obj["m"], *chain.from_iterable(obj["maximal_faces"])],
+                          "complex m and face vertices")
         return simplicial_complex(obj["m"], obj["maximal_faces"])
 
 
 def parse_characteristic(obj):
     with _reading("characteristic"):
         lam = from_columns(obj["columns"])
-        if not all(type(x) is int for row in lam.entries for x in row):
-            raise InputError("characteristic matrix entries must be integers")
+        _require_integers(chain.from_iterable(lam.entries), "characteristic matrix entries")
         for key in ("n", "m"):
             if type(obj.get(key, 0)) is not int:
                 raise InputError(f"declared {key} must be an integer, "
@@ -107,9 +116,8 @@ def parse_characteristic(obj):
 def parse_functor(obj):
     with _reading("functor"):
         f = isotropy_functor(obj["n_act"], obj["labels"])
-        if type(f.n_act) is not int or not all(
-                type(g) is int for label in obj["labels"] for g in label):
-            raise InputError("functor n_act and labels must be integers")
+        _require_integers([f.n_act, *chain.from_iterable(obj["labels"])],
+                          "functor n_act and labels")
     return f
 
 

@@ -240,19 +240,3 @@ def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):
 def automorphisms(k, bound=DEFAULT_SEARCH_BOUND):
     """All vertex permutations preserving the face set, identity included."""
     return isomorphisms(k, k, bound=bound)
-
-
-def face_poset(p):
-    """Faces of the polytope as (sorted facet tuple, codimension) pairs.
-
-    A facet subset appears iff the facets share a common vertex; the
-    codimension is its cardinality.  Includes the empty face (the whole
-    polytope) at codimension 0, ordered by codimension then lexicographic.
-    """
-    faces = {()}
-    for v in p.vertices:
-        elems = sorted(v)
-        for size in range(1, len(elems) + 1):
-            faces.update(combinations(elems, size))
-    ordered = sorted(faces, key=lambda f: (len(f), f))
-    return [(f, len(f)) for f in ordered]

@@ -226,16 +226,6 @@ def kernel_basis(mat):
     return basis
 
 
-def is_primitive(vec):
-    """True iff the gcd of the entries is 1.  The zero vector is rejected."""
-    if not any(vec):
-        raise ValueError("primitivity is undefined for the zero vector")
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g == 1
-
-
 def maximal_minor_gcd(mat):
     """gcd of the absolute values of all maximal (rows x rows) minors.
 

@@ -1,6 +1,11 @@
+import random
+from itertools import combinations
+from math import gcd
+
 import pytest
 
-from momang import charpair
+import pairgen
+from momang import charpair, intlat
 from momang.combinatorics import simple_polytope
 from momang.errors import ShapeError, ValidationError
 
@@ -133,3 +138,175 @@ def test_functor_facet_count_mismatch():
     f = charpair.isotropy_functor(2, [[1]])
     with pytest.raises(ValidationError):
         charpair.validate_quaternionic_functor(segment(), f)
+
+
+def reference_faces(p):
+    """Every face as a sorted facet tuple, the empty face first, then by
+    codimension and lexicographically."""
+    faces = {()}
+    for v in p.vertices:
+        for size in range(1, len(v) + 1):
+            faces.update(combinations(sorted(v), size))
+    return sorted(faces, key=lambda f: (len(f), f))
+
+
+def reference_validate_characteristic_pair(p, lam):
+    """The seed's walk: a primitivity test per column, then a determinant
+    per vertex and a maximal-minor gcd per other face."""
+    failures = []
+    primitivity = {}
+    for i in range(1, lam.m + 1):
+        col = lam.column(i)
+        ok = gcd(*col) == 1
+        primitivity[i] = ok
+        if not ok:
+            failures.append(f"column of facet {i} is not primitive: {col}")
+    vertex_dets = {}
+    face_gcds = {}
+    for face in reference_faces(p)[1:]:
+        sub = lam.columns(face)
+        if len(face) == lam.n:
+            d = intlat.det(sub)
+            vertex_dets[face] = d
+            if abs(d) != 1:
+                failures.append(f"vertex {list(face)} has determinant {d}, expected +-1")
+        else:
+            g = intlat.maximal_minor_gcd(intlat.transpose(sub))
+            face_gcds[face] = g
+            if g != 1:
+                failures.append(f"face {list(face)} has maximal-minor gcd {g}, expected 1")
+    return charpair.PairReport(not failures, primitivity, vertex_dets, face_gcds,
+                               failures)
+
+
+def reference_validate_quaternionic_functor(p, f):
+    """The seed's walk over every face, the empty face included."""
+    failures = []
+    disjoint = injective = True
+    seen = {}
+    for face in reference_faces(p):
+        union = set().union(*(f.label(i) for i in face))
+        total = sum(len(f.label(i)) for i in face)
+        if len(union) != total:
+            disjoint = False
+            failures.append(
+                f"labels of facets {list(face)} overlap: rank {len(union)} < {total}")
+        cls = tuple(sorted(tuple(sorted(f.label(i))) for i in face))
+        if cls in seen:
+            injective = False
+            failures.append(
+                f"faces {list(seen[cls])} and {list(face)} share the isotropy class {cls}")
+        else:
+            seen[cls] = face
+    return charpair.FunctorReport(disjoint and injective, disjoint, injective, failures)
+
+
+def report_fields(report):
+    """The report with each table as an item list, so that order counts."""
+    return (report.valid, list(report.column_primitivity.items()),
+            list(report.vertex_determinants.items()),
+            list(report.face_minor_gcds.items()), report.failures)
+
+
+def valid_pairs(rng):
+    for n in range(2, 6):
+        yield pairgen.cube(n), pairgen.staged_columns(rng, [1] * n)
+    for dims in ([2], [3], [1, 2], [2, 1], [2, 2], [1, 3], [1, 1, 2]):
+        yield pairgen.simplex_product(dims), pairgen.staged_columns(rng, dims)
+    for m in range(3, 9):
+        yield pairgen.polygon(m), pairgen.polygon_columns(rng, m)
+
+
+def mutant_pairs(rng):
+    """Random and mutated matrices over small polytopes: zero and
+    non-primitive columns, single bad vertices, and squares whose every
+    vertex fails."""
+    bases = [(pairgen.simplex_product([1]), [1]), (pairgen.simplex_product([2]), [2]),
+             (pairgen.simplex_product([3]), [3]), (pairgen.cube(2), [1, 1]),
+             (pairgen.cube(3), [1, 1, 1]), (pairgen.cube(4), [1, 1, 1, 1])]
+    bases += [(pairgen.polygon(m), None) for m in (3, 5, 6)]
+    for p, dims in bases:
+        for _ in range(12):
+            cols = (pairgen.staged_columns(rng, dims) if dims
+                    else pairgen.polygon_columns(rng, p.facet_count))
+            kind = rng.randrange(5)
+            if kind == 0:    # a random matrix
+                cols = [[rng.randint(-2, 2) for _ in col] for col in cols]
+            elif kind == 1:  # one entry moved
+                col = rng.choice(cols)
+                col[rng.randrange(len(col))] += rng.choice((-2, -1, 1, 2))
+            elif kind == 2:  # a zero column
+                cols[rng.randrange(len(cols))] = [0] * p.dim
+            elif kind == 3:  # a non-primitive column
+                k = rng.randrange(len(cols))
+                cols[k] = [rng.choice((2, 3)) * x for x in cols[k]]
+            else:            # a random base change, then one column scaled
+                delta = pairgen.random_unimodular(rng, p.dim)
+                cols = [intlat.mat_vec(delta, col) for col in cols]
+                k = rng.randrange(len(cols))
+                cols[k] = [-2 * x for x in cols[k]]
+            yield p, cols
+    sq = pairgen.cube(2)
+    for _ in range(40):
+        cols = [[rng.randint(-3, 3), rng.randint(-3, 3)] for _ in range(4)]
+        lam = charpair.from_columns(cols)
+        if all(abs(intlat.det(lam.columns(v))) != 1 for v in sq.vertices):
+            yield sq, cols
+
+
+def test_validator_matches_the_face_walk_on_valid_pairs():
+    rng = random.Random(8)
+    count = 0
+    for p, cols in valid_pairs(rng):
+        lam = charpair.from_columns(cols)
+        want = reference_validate_characteristic_pair(p, lam)
+        assert want.valid, cols
+        assert report_fields(charpair.validate_characteristic_pair(p, lam)) == \
+            report_fields(want), cols
+        count += 1
+    assert count == 17
+
+
+def test_validator_matches_the_face_walk_on_mutants():
+    rng = random.Random(8)
+    seen = {"valid": 0, "invalid": 0, "zero column": 0, "column": 0,
+            "face gcd above 1": 0, "face gcd 0": 0, "every vertex fails": 0}
+    for p, cols in mutant_pairs(rng):
+        lam = charpair.from_columns(cols)
+        want = reference_validate_characteristic_pair(p, lam)
+        assert report_fields(charpair.validate_characteristic_pair(p, lam)) == \
+            report_fields(want), (p, cols)
+        seen["valid" if want.valid else "invalid"] += 1
+        seen["zero column"] += not all(any(c) for c in cols)
+        seen["column"] += not all(want.column_primitivity.values())
+        seen["face gcd above 1"] += any(g > 1 for g in want.face_minor_gcds.values())
+        seen["face gcd 0"] += 0 in want.face_minor_gcds.values()
+        seen["every vertex fails"] += all(
+            abs(d) != 1 for d in want.vertex_determinants.values())
+    assert all(seen.values()), seen
+
+
+def random_functor(rng, m):
+    n_act = rng.randint(2, m + 1)
+    labels = [rng.sample(range(1, n_act + 1), rng.randint(1, min(2, n_act)))
+              for _ in range(m)]
+    return charpair.isotropy_functor(n_act, labels)
+
+
+def test_functor_validator_matches_the_face_walk():
+    rng = random.Random(8)
+    polytopes = [segment(), simplex(2), simplex(3), square(), pairgen.polygon(5),
+                 pairgen.cube(3), pairgen.simplex_product([1, 2])]
+    verdicts = set()
+    for p in polytopes:
+        m = p.facet_count
+        functors = [random_functor(rng, m) for _ in range(30)]
+        functors.append(charpair.isotropy_functor(m, [[i] for i in range(1, m + 1)]))
+        for f in functors:
+            want = reference_validate_quaternionic_functor(p, f)
+            got = charpair.validate_quaternionic_functor(p, f)
+            assert (got.valid, got.disjoint_at_faces, got.injective_on_faces,
+                    got.failures) == (want.valid, want.disjoint_at_faces,
+                                      want.injective_on_faces, want.failures), (p, f)
+            verdicts.add((want.disjoint_at_faces, want.injective_on_faces))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from itertools import combinations
 from math import comb
@@ -215,6 +216,14 @@ MALFORMED = {
     "fractional label": malformed("functor", "labels", [[1.0], [2]]),
     "boolean label": malformed("functor", "labels", [[True], [2]]),
     "fractional universe": malformed("functor", "n_act", 2.0),
+    "top level a number": 5,
+    "top level null": None,
+    "top level a string": "polytope",
+    "dimension a boolean": {"polytope": {"m": 2, "n": True, "vertices": [[1], [2]]},
+                            "characteristic": {"n": 1, "m": 2, "columns": [[1], [-1]]}},
+    "facet count a boolean": malformed("polytope", "m", True),
+    "boolean facet beside its integer": malformed("polytope", "vertices",
+                                                  [[1, True], [2, 3], [3, 4], [1, 4]]),
 }
 
 
@@ -224,6 +233,41 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, name, command):
     code, _, err = run(capsys, command, write_json(tmp_path, "bad.json", MALFORMED[name]))
     assert code == 1
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("body", [5, None, "polytope"])
+def test_compare_rejects_a_top_level_value_that_is_not_an_object(capsys, tmp_path, body):
+    path = write_json(tmp_path, "bad.json", body)
+    code, out, err = run(capsys, "compare", path, "corpus:cp1")
+    assert code == 1 and not out
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("obj", [
+    {"m": 3, "maximal_faces": [[True, 2], [2, 3], [1, 3]]},
+    {"m": 3, "maximal_faces": [[1, 2.0], [2, 3], [1, 3]]},
+    {"m": True, "maximal_faces": [[1]]},
+])
+def test_homology_complex_vertices_must_be_integers(capsys, tmp_path, obj):
+    code, out, err = run(capsys, "homology", write_json(tmp_path, "k.json", obj))
+    assert code == 1 and not out
+    assert err.startswith("input error:")
+
+
+def test_validate_output_of_failing_pairs_is_pinned(capsys, tmp_path, monkeypatch):
+    # three square pairs: a determinant -3 vertex, a non-primitive column,
+    # and every vertex failing, so that gcds other than 1 are reported
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "validate_failures.json")) as fh:
+        recorded = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    square = {"m": 4, "n": 2, "vertices": [[1, 2], [2, 3], [3, 4], [1, 4]]}
+    for want in recorded:
+        body = {"polytope": square,
+                "characteristic": {"n": 2, "m": 4, "columns": want["columns"]}}
+        write_json(tmp_path, want["file"], body)
+        code, out, err = run(capsys, "validate", want["file"])
+        assert (code, out, err) == (want["code"], want["stdout"], want["stderr"])
 
 
 def test_declared_shape_of_the_wrong_type_is_named(capsys, tmp_path):

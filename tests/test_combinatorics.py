@@ -176,12 +176,3 @@ def test_isomorphisms_match_the_seed_search_in_order():
     assert len(comb.automorphisms(comb.dual_complex(pairgen.cube(4)))) == 384
     assert total > 1000
 
-
-def test_face_poset_square():
-    poset = comb.face_poset(square())
-    assert poset[0] == ((), 0)
-    codim1 = [f for f, c in poset if c == 1]
-    codim2 = [f for f, c in poset if c == 2]
-    assert codim1 == [(1,), (2,), (3,), (4,)]
-    assert codim2 == [(1, 2), (1, 4), (2, 3), (3, 4)]
-

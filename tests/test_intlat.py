@@ -185,14 +185,6 @@ def test_kernel_basis_of_surjection():
     assert lattice == intlat.hermite_row_form([[1, 0, 1, 0], [0, 1, 0, 1]])
 
 
-def test_is_primitive():
-    assert intlat.is_primitive([2, 3])
-    assert not intlat.is_primitive([2, 4])
-    assert intlat.is_primitive([-1])
-    with pytest.raises(ValueError):
-        intlat.is_primitive([0, 0])
-
-
 def test_maximal_minor_gcd():
     assert intlat.maximal_minor_gcd([[2, 4, 6]]) == 2
     assert intlat.maximal_minor_gcd([[1, 0], [0, 1]]) == 1
