@@ -1,12 +1,15 @@
 """Command-line entry point.
 
-JSON in, JSON or aligned text out; one command per process.  Inputs are
-file paths or named entries of the bundled example corpus.  Exit codes:
+JSON in, JSON or aligned text out, one command per `main` call.  `main`
+may be called again in the same process; every call reuses the one
+parser that the first call builds.  Inputs are file paths or named
+entries of the bundled example corpus.  Exit codes:
 0 success/equivalent, 1 input error, 2 validation failure,
 3 inequivalent, 4 incomparable, 5 budget exceeded.
 """
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -346,6 +349,7 @@ def cmd_examples(args):
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves no state in the parser
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="momang",

@@ -30,12 +30,6 @@ def poly_add(a, b):
     return out
 
 
-def poly_scale(a, c):
-    if c == 0:
-        return {}
-    return {mono: c * x for mono, x in a.items()}
-
-
 def poly_mul(a, b):
     out = {}
     for ma, ca in a.items():
@@ -138,7 +132,7 @@ def _build_component(pres, degree):
                 shifted = tuple(x + y for x, y in zip(mono, mult))
                 row[index[shifted]] += c
             relations.append(row)
-    snf = intlat.smith_normal_form(relations or [[0] * len(monomials)])
+    snf = intlat.smith_normal_form(relations or [[0] * len(monomials)], u=False)
     factors = snf.invariant_factors()
     if any(d > 1 for d in factors):
         raise IntegrityError(f"degree-{degree} component has torsion")

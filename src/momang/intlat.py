@@ -71,11 +71,15 @@ def det(mat):
 
 @dataclass
 class SmithDecomposition:
-    """U @ source @ V = D with U, V unimodular and D a divisibility-chain diagonal."""
+    """U @ source @ V = D with U, V unimodular and D a divisibility-chain diagonal.
 
-    u: Matrix
+    `u` or `v` is None when the caller of `smith_normal_form` did not ask
+    for that transform (u=False or v=False there); `d` is always built.
+    """
+
+    u: Matrix | None
     d: Matrix
-    v: Matrix
+    v: Matrix | None
 
     def diagonal(self):
         return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
@@ -102,11 +106,13 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(mat):
-    """Smith normal form with transforms.
+def smith_normal_form(mat, *, u=True, v=True):
+    """Smith normal form, with the transforms the caller asks for.
 
     Returns a SmithDecomposition (u, d, v) with u @ mat @ v = d, u and v
     unimodular, and the diagonal of d nonnegative in divisibility order.
+    A transform turned off by u=False or v=False is never built and is
+    None; d and any transform returned are the same for every request.
     Deterministic for a fixed input: pivots are chosen as the smallest
     nonzero absolute value, ties broken by position, so the scan stops at
     the first entry of absolute value 1.
@@ -116,28 +122,32 @@ def smith_normal_form(mat):
     if any(len(row) != cols for row in mat):
         raise ShapeError("ragged matrix")
     a = copy_matrix(mat)
-    u = identity(rows)
-    v = identity(cols)
+    left = identity(rows) if u else None
+    right = identity(cols) if v else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if left is not None:
+            left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if right is not None:
+            for row in right:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, factor):
         a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        if left is not None:
+            left[dst] = [x + factor * y for x, y in zip(left[dst], left[src])]
 
     def add_col(src, dst, factor):
         for row in a:
             row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+        if right is not None:
+            for row in right:
+                row[dst] += factor * row[src]
 
     t = 0
     while t < min(rows, cols):
@@ -198,13 +208,14 @@ def smith_normal_form(mat):
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return SmithDecomposition(u=u, d=a, v=v)
+            if left is not None:
+                left[i] = [-x for x in left[i]]
+    return SmithDecomposition(u=left, d=a, v=right)
 
 
 def invariant_factors(mat):
     """Nonzero diagonal of the Smith form, without the transform matrices."""
-    return smith_normal_form(mat).invariant_factors()
+    return smith_normal_form(mat, u=False, v=False).invariant_factors()
 
 
 def kernel_basis(mat):
@@ -214,7 +225,7 @@ def kernel_basis(mat):
     factors are all 1 (the basis is a direct summand of Z^cols).
     """
     cols = len(mat[0]) if mat else 0
-    snf = smith_normal_form(mat)
+    snf = smith_normal_form(mat, u=False)
     r = snf.rank()
     basis = []
     for j in range(r, cols):

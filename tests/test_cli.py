@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -8,6 +10,7 @@ import pytest
 
 import pairgen
 from momang import classify, cli, intlat
+from momang.combinatorics import DEFAULT_SEARCH_BOUND
 
 
 def run(capsys, *argv):
@@ -436,3 +439,48 @@ def test_text_format(capsys):
     code, out, _ = run(capsys, "homology", "corpus:cp1", "--format", "text")
     assert code == 0
     assert "euler_characteristic: 0" in out
+
+
+def alone(*argv):
+    # one `main` call in a fresh interpreter: the parser is built for it alone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from momang import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once_and_shared():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_leaves_no_state_for_the_next_call(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "a.json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["compare", "corpus:hirzebruch-1", "corpus:hirzebruch-2"]
+    assert run(capsys, *argv) == alone(*argv)
+
+
+def test_flavor_flag_does_not_carry_to_the_next_call(capsys, tmp_path):
+    obj = {"m": 2, "maximal_faces": [[1], [2]], "flavor": "complex"}
+    path = write_json(tmp_path, "k.json", obj)
+    code, out, _ = run(capsys, "homology", "--flavor", "quaternionic", path)
+    assert code == 0 and json.loads(out)["flavor"] == "quaternionic"
+    code, out, err = run(capsys, "homology", path)
+    assert (code, out, err) == alone("homology", path)
+    assert json.loads(out)["flavor"] == "complex"
+
+
+def test_budget_flag_does_not_carry_to_the_next_call(capsys):
+    argv = ["compare", "corpus:hirzebruch-1", "corpus:hirzebruch-2"]
+    code, _, _ = run(capsys, *argv, "--budget", "0")
+    assert code == 5
+    assert cli.build_parser().parse_args(argv).budget == DEFAULT_SEARCH_BOUND
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == alone(*argv)
+    assert code == 3

@@ -35,7 +35,6 @@ def test_poly_arithmetic():
     b = {(1, 0): -2, (0, 0): 3}
     assert coh.poly_add(a, b) == {(0, 1): 1, (0, 0): 3}
     assert coh.poly_mul({(1, 0): 1}, {(0, 1): 1}) == {(1, 1): 1}
-    assert coh.poly_scale(a, 0) == {}
     assert coh.poly_degree_parts(coh.poly_add(a, b)) == {1: {(0, 1): 1}, 0: {(0, 0): 3}}
 
 

@@ -152,8 +152,15 @@ def test_smith_form_matches_full_scan_reference():
             # no unit entry: every pivot comes from the full scan
             m = [[rng.choice([0, 2, -2, 3, -3, 4, 6, -9, 10]) for _ in range(cols)]
                  for _ in range(rows)]
+        ref_u, ref_d, ref_v = reference_smith_normal_form(m)
         snf = intlat.smith_normal_form(m)
-        assert (snf.u, snf.d, snf.v) == reference_smith_normal_form(m), m
+        assert (snf.u, snf.d, snf.v) == (ref_u, ref_d, ref_v), m
+        # a transform not asked for is None, and the rest is unchanged
+        for u, v in [(False, False), (False, True), (True, False)]:
+            snf = intlat.smith_normal_form(m, u=u, v=v)
+            assert snf.d == ref_d, m
+            assert snf.u == (ref_u if u else None), m
+            assert snf.v == (ref_v if v else None), m
 
 
 def test_invariant_factors_known():
