@@ -51,14 +51,10 @@ def kernel_chern_classes(p, lam, diagnostics=False):
     facet_coords = [list(facet_class(pres, i).coordinates) for i in range(1, m + 1)]
     width = len(facet_coords[0]) if m else 0
     at = intlat.transpose(a) if a else [[] for _ in range(m)]
-    solved = []
-    for j in range(width):
-        col = [facet_coords[i][j] for i in range(m)]
-        sol = intlat.solve_integer(at, col)
-        if sol is None:
-            raise IntegrityError(
-                "facet classes do not lie in the span of the kernel rows")
-        solved.append(sol)
+    solved = intlat.solve_integer(at, [[facet_coords[i][j] for i in range(m)]
+                                       for j in range(width)])
+    if None in solved:
+        raise IntegrityError("facet classes do not lie in the span of the kernel rows")
     coord_matrix = intlat.transpose(solved) if solved else [[] for _ in range(r)]
     classes = [CohomologyClass(2, tuple(coord_matrix[k])) for k in range(r)]
     comp = pres.component(2)

@@ -5,7 +5,10 @@ the other by a unimodular base change, an isomorphism of the dual
 complexes, and per-facet signs.  The search anchors on a fixed vertex:
 once both matrices are written in the basis of their anchor columns,
 the base change is a diagonal sign matrix, and it and the facet signs
-are solved for in closed form for each isomorphism.  Kernel
+are solved for in closed form.  Those normal forms, one per vertex of
+the second polytope and reached from each other by pivots, also prune
+the isomorphism search entry by entry, so the dual-complex symmetries
+are never listed.  Kernel
 bundles are compared as sublattices of the degree-2 component, which is
 exactly equivalence up to reparametrizing the kernel torus.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from . import intlat
 from .charpair import (from_columns, validate_characteristic_pair,
                        validate_quaternionic_functor)
-from .combinatorics import DEFAULT_SEARCH_BOUND, dual_complex, isomorphisms
+from .combinatorics import DEFAULT_SEARCH_BOUND, _isomorphism_search, dual_complex
 from .errors import IncomparableError, ValidationError
 
 LEVEL_EQUIVALENT = "equivalent"
@@ -96,28 +99,91 @@ def _solve_signs(n1, n2):
     return e, s
 
 
-def _certificate_search(p, lam, lam2, sigmas):
-    """First certificate along the given facet bijections onto lam2's polytope.
+def _normal_forms(p2, lam2):
+    """M_w^-1.lam2 for every vertex w of p2, each as a facet -> row dict.
 
-    With M1 the columns of lam at an anchor vertex and M2 their images,
-    any certificate has delta = M2.E.M1^-1 for a diagonal sign matrix E,
-    so the normal forms N = M^-1.lam must satisfy
-    E.N1[:, i] = s_i.N2[:, sigma(i)] column by column; `_solve_signs`
-    finds E and s.  N2 is computed once per vertex of the second polytope
-    and its rows are reordered to each anchor image.
+    One unimodular inverse at the first vertex; every other vertex is
+    reached along an edge of the vertex graph, trading facet a of w for
+    facet b by one pivot on N_w[a][b], which is +-1 because both ends of
+    the edge are unimodular.
+    """
+    root = p2.vertices[0]
+    rows = intlat.mat_mul(intlat.inverse_unimodular(lam2.columns(sorted(root))),
+                          lam2.rows())
+    normal = {root: dict(zip(sorted(root), rows))}
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        form = normal[w]
+        for nxt in p2.vertices:
+            if len(nxt - w) != 1 or nxt in normal:
+                continue
+            (a,), (b,) = w - nxt, nxt - w
+            new = [form[a][b - 1] * x for x in form[a]]
+            normal[nxt] = {f: [x - row[b - 1] * y for x, y in zip(row, new)]
+                           for f, row in form.items() if f != a}
+            normal[nxt][b] = new
+            stack.append(nxt)
+    return normal
+
+
+def _abs_keys(form):
+    """Per facet f of a normal form given as facet -> row: sorted |row f|
+    where the form has that row, sorted |column f| elsewhere."""
+    cols = list(zip(*form.values()))
+    return {f: tuple(sorted(map(abs, form[f] if f in form else cols[f - 1])))
+            for f in range(1, len(cols) + 1)}
+
+
+def _certificate_search(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
+    """First certificate carrying lam onto lam2, in increasing order of sigma.
+
+    With M1 the columns of lam at the anchor vertex (the lexicographically
+    first) and M2 their images, any certificate has delta = M2.E.M1^-1
+    for a diagonal sign matrix E, so the normal forms N = M^-1.lam satisfy
+    E.N1[:, i] = s_i.N2[:, sigma(i)]; `_solve_signs` finds E and s for a
+    complete sigma.  The search prunes on what that forces in absolute
+    value: the vertex w of the anchor's images needs the sorted |columns|
+    of N1 as a multiset, an anchor facet maps into w onto a row with its
+    sorted |row| and any other facet outside w onto a column with its
+    sorted |column|; once w and the row order are fixed, every column
+    must match entry by entry.
     """
     anchor = min(tuple(sorted(v)) for v in p.vertices)
+    last = anchor[-1]
+    placed = [0] * (lam.m + 1)
+    alive = [None] * (lam.m + 1)  # vertices of p2 still open after placing facet i
+
+    def same_abs_column(form, i, c):
+        return all(abs(form[placed[a]][c - 1]) == abs(row[i - 1])
+                   for a, row in form1.items())
+
+    def admit(i, c):
+        placed[i] = c
+        if i > last:
+            return same_abs_column(normal[alive[last][0]], i, c)
+        alive[i] = [w for w in alive[i - 1]
+                    if (c in w) == (i in form1) and keys[w][c] == keys1[i]]
+        if i < last or not alive[i]:
+            return bool(alive[i])
+        return all(same_abs_column(normal[alive[i][0]], j, placed[j])
+                   for j in range(1, last) if j not in form1)
+
+    # built first, so that the budget is checked before any normal form
+    search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound, admit)
     m1_inv = intlat.inverse_unimodular(lam.columns(anchor))
     n1 = intlat.mat_mul(m1_inv, lam.rows())
-    normal = {}  # vertex of lam2's polytope -> facet -> row of M2^-1.lam2
-    for sigma in sigmas:
+    form1 = dict(zip(anchor, n1))
+    keys1 = _abs_keys(form1)
+    normal = _normal_forms(p2, lam2)
+    keys = {w: _abs_keys(form) for w, form in normal.items()}
+    shape = sorted(k for i, k in keys1.items() if i not in form1)
+    alive[0] = [w for w in normal
+                if sorted(k for c, k in keys[w].items() if c not in w) == shape]
+    for sigma in search:
         image = [sigma[i - 1] for i in anchor]
-        vertex = tuple(sorted(image))
-        if vertex not in normal:
-            rows = intlat.mat_mul(intlat.inverse_unimodular(lam2.columns(vertex)),
-                                  lam2.rows())
-            normal[vertex] = dict(zip(vertex, rows))
-        n2 = [[row[j - 1] for j in sigma] for row in map(normal[vertex].get, image)]
+        form = normal[alive[last][0]]
+        n2 = [[row[j - 1] for j in sigma] for row in map(form.get, image)]
         solved = _solve_signs(n1, n2)
         if solved is None:
             continue
@@ -148,26 +214,26 @@ def rigidity_verdict_complex(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     """Full verdict for two complex inputs.
 
     Equivalent iff some isomorphism of the dual complexes admits an
-    equivalence certificate.  The isomorphisms already include every
-    isomorphism composed with a symmetry, so they are searched once; the
-    certificate's `sigma` is a facet bijection from the first polytope to
-    the second as given.  Equivalent pairs carry equal kernel-bundle
-    sublattices, so `bundle_report` states that without a recheck.
+    equivalence certificate.  One pruned search over the isomorphisms, in
+    increasing order, stops at the first that does, so no isomorphism is
+    listed; the certificate's `sigma` is a facet bijection from the first
+    polytope to the second as given.  Without a certificate, the pair is
+    incomparable iff a first-hit search finds no isomorphism at all.
+    Equivalent pairs carry equal kernel-bundle sublattices, so
+    `bundle_report` states that without a recheck.
     """
     for poly, cand in ((p, lam), (p2, lam2)):
         report = validate_characteristic_pair(poly, cand)
         if not report.valid:
             raise ValidationError("invalid pair: " + "; ".join(report.failures))
-    isos = isomorphisms(dual_complex(p), dual_complex(p2), bound=bound)
-    if not isos:
-        return RigidityVerdict(LEVEL_INCOMPARABLE,
-                               bundle_report={"equal_sublattice": False})
-    cert = _certificate_search(p, lam, lam2, isos)
-    if cert is None:
-        return RigidityVerdict(LEVEL_INEQUIVALENT,
-                               bundle_report={"equal_sublattice": False})
-    return RigidityVerdict(LEVEL_EQUIVALENT, certificate=cert,
-                           bundle_report={"equal_sublattice": True})
+    cert = _certificate_search(p, lam, p2, lam2, bound)
+    if cert is not None:
+        return RigidityVerdict(LEVEL_EQUIVALENT, certificate=cert,
+                               bundle_report={"equal_sublattice": True})
+    k1, k2 = dual_complex(p), dual_complex(p2)
+    comparable = k1 == k2 or next(_isomorphism_search(k1, k2, bound), None) is not None
+    return RigidityVerdict(LEVEL_INEQUIVALENT if comparable else LEVEL_INCOMPARABLE,
+                           bundle_report={"equal_sublattice": False})
 
 
 def _signatures(labels):
@@ -193,10 +259,8 @@ def _functors_match(p, f, p2, f2, bound=DEFAULT_SEARCH_BOUND):
         return False
     m = p.facet_count
     want = _signatures([f.label(i) for i in range(1, m + 1)])
-    for iso in isomorphisms(dual_complex(p), dual_complex(p2), bound=bound):
-        if _signatures([f2.label(iso[i - 1]) for i in range(1, m + 1)]) == want:
-            return True
-    return False
+    return any(_signatures([f2.label(iso[i - 1]) for i in range(1, m + 1)]) == want
+               for iso in _isomorphism_search(dual_complex(p), dual_complex(p2), bound))
 
 
 def rigidity_verdict_quaternionic(p, f, tuple1, p2, f2, tuple2,

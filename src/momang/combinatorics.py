@@ -186,38 +186,36 @@ def _vertex_data(k):
             {v: set().union(*fs) - {v} for v, fs in through.items()})
 
 
-def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):
-    """All vertex bijections mapping faces of k1 onto faces of k2.
+def _isomorphism_search(k1, k2, bound, admit=None):
+    """Iterator over `isomorphisms(k1, k2)`, by backtracking over vertex
+    images in increasing order; the budget is checked before any node.
 
-    Exhaustive backtracking over vertex images in increasing order.  A
-    candidate image must match the vertex's signature and keep adjacency
-    and non-adjacency with every vertex already placed (an isomorphism
-    maps the 1-skeleton onto the 1-skeleton); placing vertex v then
-    checks the maximal faces whose largest vertex is v.  Each result
-    maps vertex i to result[i-1].
+    A candidate image must match the vertex's signature and keep
+    adjacency and non-adjacency with every vertex already placed (an
+    isomorphism maps the 1-skeleton onto the 1-skeleton); placing vertex
+    v then checks the maximal faces whose largest vertex is v.  Last, a
+    caller's `admit(v, image)` may reject extending the current partial
+    bijection by v -> image.
     """
     m = k1.vertex_count
     if m > bound:
         raise BudgetError(f"automorphism search limited to {bound} vertices, got {m}", bound)
-    if k2.vertex_count != m:
-        return []
     sizes1 = sorted(len(f) for f in k1.maximal_faces)
     sizes2 = sorted(len(f) for f in k2.maximal_faces)
-    if sizes1 != sizes2:
-        return []
+    if k2.vertex_count != m or sizes1 != sizes2:
+        return iter(())
     sig1, adj1 = _vertex_data(k1)
     sig2, adj2 = _vertex_data(k2)
     closing = {v: [] for v in sig1}  # largest vertex -> maximal faces of k1
     for f in k1.maximal_faces:
         closing[max(f)].append(tuple(f))
     target_faces = k2.maximal_faces
-    results = []
     image = [0] * (m + 1)  # 1-based
     used = set()
 
     def extend(vertex):
         if vertex > m:
-            results.append(tuple(image[1:]))
+            yield tuple(image[1:])
             return
         for cand in range(1, m + 1):
             if cand in used or sig2[cand] != sig1[vertex]:
@@ -226,15 +224,21 @@ def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):
                    for w in range(1, vertex)):
                 continue
             image[vertex] = cand
-            if all(frozenset(map(image.__getitem__, f)) in target_faces
-                   for f in closing[vertex]):
+            if (all(frozenset(map(image.__getitem__, f)) in target_faces
+                    for f in closing[vertex])
+                    and (admit is None or admit(vertex, cand))):
                 used.add(cand)
-                extend(vertex + 1)
+                yield from extend(vertex + 1)
                 used.discard(cand)
         image[vertex] = 0
 
-    extend(1)
-    return results
+    return extend(1)
+
+
+def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):
+    """All vertex bijections mapping faces of k1 onto faces of k2, in
+    increasing lexicographic order; each maps vertex i to result[i-1]."""
+    return list(_isomorphism_search(k1, k2, bound))
 
 
 def automorphisms(k, bound=DEFAULT_SEARCH_BOUND):

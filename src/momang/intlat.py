@@ -298,32 +298,31 @@ def hermite_row_form(mat):
     return rows[:pivot_row]
 
 
-def solve_integer(bt, x):
-    """Solve bt @ c = x over the integers via the Smith form.
+def solve_integer(bt, xs):
+    """Solve bt @ c = x over the integers for every right-hand side x in xs.
 
-    Returns the solution vector c (with free coordinates set to 0), or
-    None when no integer solution exists.  When the solution is unique
-    it is returned exactly.
+    One Smith form of bt serves every x.  Returns one entry per x: the
+    solution vector c (with free coordinates set to 0), or None when that
+    x has no integer solution.  A unique solution is returned exactly.
     """
     p = len(bt)
     q = len(bt[0]) if bt else 0
-    if len(x) != p:
-        raise ShapeError(f"vector length {len(x)} does not match {p} rows")
+    for x in xs:
+        if len(x) != p:
+            raise ShapeError(f"vector length {len(x)} does not match {p} rows")
     snf = smith_normal_form(bt)
-    y = mat_vec(snf.u, x)
-    w = [0] * q
-    for i in range(min(p, q)):
-        d = snf.d[i][i]
-        if d != 0:
-            if y[i] % d != 0:
+
+    def solve(x):
+        w = [0] * q
+        for i, y in enumerate(mat_vec(snf.u, x)):
+            d = snf.d[i][i] if i < q else 0
+            if (y % d if d else y) != 0:
                 return None
-            w[i] = y[i] // d
-        elif y[i] != 0:
-            return None
-    for i in range(min(p, q), p):
-        if y[i] != 0:
-            return None
-    return mat_vec(snf.v, w)
+            if d:
+                w[i] = y // d
+        return mat_vec(snf.v, w)
+
+    return [solve(x) for x in xs]
 
 
 def inverse_unimodular(mat):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import pairgen
 from momang import bundles, cohomology, intlat
 from momang.charpair import from_columns, isotropy_functor
 from momang.combinatorics import simple_polytope
@@ -73,6 +76,28 @@ def test_expansion_identity():
         got = [sum(kernel[k][i - 1] * c[k][j] for k in range(len(c)))
                for j in range(len(want))]
         assert got == want, i
+
+
+@pytest.mark.parametrize("family", ["tower", "polygon"])
+def test_one_smith_form_solves_every_column_as_one_at_a_time(family):
+    rng = random.Random(family)
+    for trial in range(12):
+        if family == "tower":
+            dims = rng.choice([[1, 1], [1, 1, 1], [1, 1, 1, 1], [1, 2], [2, 1], [1, 1, 2]])
+            p, cols = pairgen.simplex_product(dims), pairgen.staged_columns(rng, dims)
+        else:
+            m = rng.randint(4, 8)
+            p, cols = pairgen.polygon(m), pairgen.polygon_columns(rng, m)
+        lam = from_columns(cols)
+        pres = cohomology.quasitoric_presentation(p, lam)
+        at = intlat.transpose(intlat.kernel_basis(lam.rows()))
+        facets = [list(cohomology.facet_class(pres, i).coordinates)
+                  for i in range(1, lam.m + 1)]
+        rhs = [list(col) for col in zip(*facets)]
+        one_at_a_time = [intlat.solve_integer(at, [x])[0] for x in rhs]
+        assert intlat.solve_integer(at, rhs) == one_at_a_time
+        tup = bundles.kernel_chern_classes(p, lam)
+        assert tup.coordinate_matrix() == intlat.transpose(one_at_a_time)
 
 
 def test_simplex_h4_presentation():

@@ -5,7 +5,8 @@ import pytest
 
 import pairgen
 from momang import bundles, classify, intlat
-from momang.charpair import from_columns, isotropy_functor
+from momang.charpair import (from_columns, isotropy_functor,
+                             validate_characteristic_pair)
 from momang.combinatorics import (automorphisms, dual_complex, isomorphisms,
                                   simple_polytope)
 from momang.errors import IncomparableError, ValidationError
@@ -226,6 +227,15 @@ def reference_certificate_search(p, lam, lam2, sigmas):
     return None
 
 
+def sign_sibling(rng, p, cols):
+    """The pair with the signs of some entries flipped, still valid: the
+    same entries in absolute value, so only the signs can tell it apart."""
+    while True:
+        flipped = [[-x if x and rng.random() < 0.3 else x for x in col] for col in cols]
+        if flipped != cols and validate_characteristic_pair(p, from_columns(flipped)).valid:
+            return flipped
+
+
 PAIR_FAMILIES = {
     "square": (pairgen.cube(2), lambda r: pairgen.staged_columns(r, [1, 1], twist=3)),
     "prism": (pairgen.simplex_product([1, 2]),
@@ -234,32 +244,52 @@ PAIR_FAMILIES = {
               lambda r: pairgen.staged_columns(r, [2, 2])),
     "3-cube": (pairgen.cube(3), lambda r: pairgen.staged_columns(r, [1, 1, 1])),
     "4-cube": (pairgen.cube(4), lambda r: pairgen.staged_columns(r, [1] * 4)),
+    "5-cube": (pairgen.cube(5), lambda r: pairgen.staged_columns(r, [1] * 5)),
     "6-gon": (pairgen.polygon(6), lambda r: pairgen.polygon_columns(r, 6)),
     "7-gon": (pairgen.polygon(7), lambda r: pairgen.polygon_columns(r, 7)),
 }
+UNTWISTED = {f"untwisted {n}-cube": n for n in range(1, 6)}
+# (disguised copies, siblings of each kind) per family; the seed search
+# tries 2^n signs on each of |Aut| = 2^n n! isomorphisms before it calls
+# a pair inequivalent, too slow for many siblings over the 4- and 5-cube
+TRIALS = {"4-cube": (2, 1), "5-cube": (1, 0)}
 
 
-@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
+@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES) + sorted(UNTWISTED))
 def test_certificate_search_matches_the_seed_search(family):
-    # each pair against a disguised copy of itself and of a twisted sibling
+    # each pair against disguised copies of itself, of a twisted sibling
+    # and of a sibling with flipped signs
     rng = random.Random(family)
-    p, make = PAIR_FAMILIES[family]
-    trials = 2 if family == "4-cube" else 8
-    found = 0
-    for trial in range(trials):
+    if family in UNTWISTED:
+        n = UNTWISTED[family]
+        p, make = pairgen.cube(n), lambda r: pairgen.staged_columns(r, [1] * n, twist=0)
+        copies, siblings = 4, 0
+    else:
+        p, make = PAIR_FAMILIES[family]
+        copies, siblings = TRIALS.get(family, (4, 4))
+    outcomes = []
+    for trial in range(copies + 2 * siblings):
         cols = make(rng)
-        q, lam2 = pairgen.disguise(rng, p, cols if trial % 2 == 0 else make(rng))
+        if trial < copies:
+            other = cols
+        elif trial % 2:
+            other = make(rng)
+        else:
+            other = sign_sibling(rng, p, cols)
+        q, lam2 = pairgen.disguise(rng, p, other)
         lam = from_columns(cols)
+        cert = classify._certificate_search(p, lam, q, lam2)
         isos = isomorphisms(dual_complex(p), dual_complex(q))
-        cert = classify._certificate_search(p, lam, lam2, isos)
         want = reference_certificate_search(p, lam, lam2, isos)
         assert (cert is None) == (want is None), trial
         if cert is not None:
             assert (cert.delta, cert.sigma, cert.signs) == (
                 want.delta, want.sigma, want.signs), trial
             assert cert.apply(lam).rows() == lam2.rows()
-            found += 1
-    assert found >= trials // 2
+        outcomes.append(cert is not None)
+    assert all(outcomes[:copies])
+    if siblings:
+        assert not all(outcomes), "no inequivalent sibling was drawn"
 
 
 def test_quaternionic_verdicts_base_dim_four():

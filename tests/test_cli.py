@@ -338,6 +338,36 @@ def test_compare_incomparable(capsys):
     assert json.loads(out)["level"] == "incomparable"
 
 
+@pytest.mark.parametrize("first, second, m", [
+    ("corpus:hirzebruch-1", "corpus:hirzebruch-2", 4),
+    ("corpus:hp1-hopf", "corpus:hp1-hopf", 2)])
+def test_compare_budget_below_m_keeps_its_message(capsys, first, second, m):
+    code, out, err = run(capsys, "compare", first, second, "--budget", str(m - 1))
+    assert (code, out) == (5, "")
+    assert err == (f"budget exceeded: automorphism search limited to {m - 1} "
+                   f"vertices, got {m}\n")
+
+
+def test_compare_incomparable_with_equal_counts(capsys, tmp_path):
+    # the 3-cube against the tetrahedron with two vertices cut off: both
+    # have m = 6 facets, n = 3 and 8 vertices, but no isomorphism
+    cube = {"polytope": {"m": 6, "n": 3,
+                         "vertices": [sorted(v) for v in pairgen.cube(3).vertices]},
+            "characteristic": {"n": 3, "m": 6, "columns": pairgen.staged_columns(
+                random.Random(0), [1, 1, 1])}}
+    cut = {"polytope": {"m": 6, "n": 3, "vertices": [
+        [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5], [1, 2, 6],
+        [1, 4, 6], [2, 4, 6]]},
+        "characteristic": {"n": 3, "m": 6, "columns": [
+            [1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1], [0, 0, -1]]}}
+    a, b = write_json(tmp_path, "a.json", cube), write_json(tmp_path, "b.json", cut)
+    for first, second in ((a, b), (b, a)):
+        code, out, err = run(capsys, "compare", first, second)
+        assert code == 4, err
+        assert json.loads(out) == {"level": "incomparable", "certificate": None,
+                                   "bundle": {"equal_sublattice": False}}
+
+
 def test_compare_quaternionic(capsys):
     code, out, _ = run(capsys, "compare", "corpus:hp1-hopf", "corpus:hp1-hopf",
                        "--coeffs", "[[1, 0]]", "--coeffs2", "[[2, 0]]")
@@ -382,19 +412,20 @@ def test_compare_quaternionic_large_universe(capsys, tmp_path):
     assert json.loads(out)["bundle"]["functors_match"] is True
 
 
-def cube_pair_files(tmp_path, n, seed, equivalent):
+def cube_pair_files(tmp_path, n, seed, equivalent, twist=2):
     """A Bott tower over the n-cube and a disguised copy of it, or of a
-    tower with a different |minor| multiset."""
+    tower with a different |minor| multiset; twist=0 is the untwisted
+    tower, the product of projective lines."""
     def minors(cols):
         return sorted(abs(intlat.det([[c[r] for c in sub] for r in range(n)]))
                       for sub in combinations(cols, n))
 
     rng = random.Random(seed)
     p = pairgen.cube(n)
-    first = pairgen.staged_columns(rng, [1] * n)
+    first = pairgen.staged_columns(rng, [1] * n, twist)
     second = first
     while not equivalent and minors(second) == minors(first):
-        second = pairgen.staged_columns(rng, [1] * n)
+        second = pairgen.staged_columns(rng, [1] * n, twist)
     q, lam2 = pairgen.disguise(rng, p, second)
 
     def body(poly, cols):
@@ -407,20 +438,25 @@ def cube_pair_files(tmp_path, n, seed, equivalent):
             write_json(tmp_path, "b.json", body(q, cols2)), first, cols2)
 
 
-def test_compare_5_cube_inside_the_default_budget(capsys, tmp_path):
-    # m = 10: the inequivalent verdict lists all 3840 isomorphisms
-    a, b, _, _ = cube_pair_files(tmp_path, 5, 1, equivalent=False)
+@pytest.mark.parametrize("n", [5, 6])
+def test_compare_cubes_inside_the_default_budget(capsys, tmp_path, n):
+    # the 6-cube (m = 12, |Aut| = 46 080) is the largest input the default
+    # bound admits; listing Aut takes about 5 s per pair there, so the
+    # suite's time shows a verdict that falls back to listing it
+    a, b, _, _ = cube_pair_files(tmp_path, n, 1, equivalent=False)
     code, out, err = run(capsys, "compare", a, b)
     assert code == 3, err
     assert json.loads(out)["level"] == "inequivalent"
-    a, b, cols1, cols2 = cube_pair_files(tmp_path, 5, 2, equivalent=True)
-    code, out, err = run(capsys, "compare", a, b)
-    assert code == 0, err
-    cert = json.loads(out)["certificate"]
-    lam = cli.parse_characteristic({"columns": cols1})
-    applied = classify.EquivalenceCertificate(
-        cert["delta"], tuple(cert["sigma"]), tuple(cert["signs"])).apply(lam)
-    assert applied.rows() == cli.parse_characteristic({"columns": cols2}).rows()
+    for seed, twist in ((2, 2), (3, 0)):
+        a, b, cols1, cols2 = cube_pair_files(tmp_path, n, seed, True, twist)
+        for second, target in ((b, cols2), (a, cols1)):
+            code, out, err = run(capsys, "compare", a, second)
+            assert code == 0, err
+            cert = json.loads(out)["certificate"]
+            lam = cli.parse_characteristic({"columns": cols1})
+            applied = classify.EquivalenceCertificate(
+                cert["delta"], tuple(cert["sigma"]), tuple(cert["signs"])).apply(lam)
+            assert applied.rows() == cli.parse_characteristic({"columns": target}).rows()
 
 
 def test_compare_mixed_flavors(capsys):

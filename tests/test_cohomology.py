@@ -257,8 +257,10 @@ def reference_component(pres, degree):
         vec = [0] * cols
         for mono, c in poly.items():
             vec[index[mono]] += c
-        return tuple(intlat.solve_integer(intlat.transpose(coords), free_coordinates(vec))
-                     if rank else ())
+        if not rank:
+            return ()
+        return tuple(intlat.solve_integer(intlat.transpose(coords),
+                                          [free_coordinates(vec)])[0])
 
     return basis, (rank, [d for d in elementary if d > 1]), reduce
 

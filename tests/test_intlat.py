@@ -237,14 +237,14 @@ def test_solve_integer_round_trip():
         bt = random_matrix(rng, p, q, -4, 4)
         c = [rng.randint(-5, 5) for _ in range(q)]
         x = intlat.mat_vec(bt, c)
-        sol = intlat.solve_integer(bt, x)
+        sol, = intlat.solve_integer(bt, [x])
         assert sol is not None
         assert intlat.mat_vec(bt, sol) == x
 
 
 def test_solve_integer_unsolvable():
-    assert intlat.solve_integer([[2]], [1]) is None
-    assert intlat.solve_integer([[1], [0]], [3, 1]) is None
+    assert intlat.solve_integer([[2]], [[1]]) == [None]
+    assert intlat.solve_integer([[1], [0]], [[3, 1]]) == [None]
 
 
 def test_inverse_unimodular():
