@@ -4,9 +4,10 @@ The cohomology of a quasitoric manifold is presented as the face ring of
 the dual complex (one generator per facet, monomial relations from the
 minimal non-faces) modulo the linear relations read off the rows of the
 characteristic matrix.  Components are computed degreewise by exact
-integer linear algebra on monomial spanning sets; a solved form
-eliminates the generators of one unimodular vertex so that all
-coefficients stay integral.
+integer linear algebra on monomial spanning sets: sparse elimination on
++-1 pivots where every column allows one, a Smith form of the degree's
+relations otherwise.  A solved form eliminates the generators of one
+unimodular vertex so that all coefficients stay integral.
 """
 
 from dataclasses import dataclass, field
@@ -113,32 +114,86 @@ def _monomials(num_gens, mono_degree):
                   reverse=True)
 
 
-def _build_component(pres, degree):
-    if degree % pres.generator_degree != 0 or degree < 0:
-        raise ValidationError(
-            f"degree {degree} is not a multiple of {pres.generator_degree}")
-    t = degree // pres.generator_degree
-    num = len(pres.kept)
-    monomials = _monomials(num, t)
+def _relations(pres, t, monomials):
+    """The relations among the degree-t monomials as sparse rows {index in
+    `monomials`: coefficient}: each ideal generator of degree <= t times
+    each monomial of the remaining degree."""
     index = {mono: i for i, mono in enumerate(monomials)}
-    relations = []
+    multipliers = {}
+    rows = []
     for g in pres.ideal:
         gdeg = next((sum(mono) for mono in g), None)
         if gdeg is None or gdeg > t:
             continue
-        for mult in _monomials(num, t - gdeg):
-            row = [0] * len(monomials)
-            for mono, c in g.items():
-                shifted = tuple(x + y for x, y in zip(mono, mult))
-                row[index[shifted]] += c
-            relations.append(row)
-    snf = intlat.smith_normal_form(relations or [[0] * len(monomials)], u=False)
+        if t - gdeg not in multipliers:
+            multipliers[t - gdeg] = _monomials(len(pres.kept), t - gdeg)
+        for mult in multipliers[t - gdeg]:
+            rows.append({index[tuple(x + y for x, y in zip(mono, mult))]: c
+                         for mono, c in g.items()})
+    return rows
+
+
+def _unit_pivot_basis(relations, monomials):
+    """Basis and reduction table by elimination on +-1 pivots alone.
+
+    Columns are taken from the last monomial to the first, each pivot
+    cleared from the other unpivoted rows.  If every column with an entry
+    gets a +-1 pivot, the quotient is free on the non-pivot monomials and
+    each pivot row writes its monomial over earlier ones, so the basis is
+    the one the graded-lex walk of `_smith_basis` picks and the table is
+    the same canonical map.  Returns None at the first column whose
+    entries are nonzero but none of them +-1.
+    """
+    rows = [dict(row) for row in relations]
+    live = {}                  # column -> rows that may have an entry there
+    for i, row in enumerate(rows):
+        for c in row:
+            live.setdefault(c, set()).add(i)
+    pivots = {}                # column -> its pivot row, scaled to 1 there
+    for j in reversed(range(len(monomials))):
+        hits = [i for i in live.pop(j, ()) if rows[i].get(j)]
+        if not hits:
+            continue
+        units = [i for i in hits if rows[i][j] in (1, -1)]
+        if not units:
+            return None
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        prow, rows[p] = rows[p], {}
+        pivots[j] = prow if prow[j] == 1 else {c: -x for c, x in prow.items()}
+        for i in hits:
+            if i == p:
+                continue
+            row, f = rows[i], rows[i][j]
+            for c, x in pivots[j].items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                    live.setdefault(c, set()).add(i)
+                else:
+                    del row[c]
+    basis = [j for j in range(len(monomials)) if j not in pivots]
+    classes = []               # class of monomial j over the basis
+    for j in range(len(monomials)):
+        cls = [int(j == k) for k in basis]
+        for c, x in pivots.get(j, {}).items():
+            if c != j:
+                cls = [a - x * b for a, b in zip(cls, classes[c])]
+        classes.append(cls)
+    return [monomials[j] for j in basis], intlat.transpose(classes)
+
+
+def _smith_basis(relations, monomials, degree):
+    """Basis and reduction table from a Smith form of the relations; the
+    path for components where some column has no +-1 pivot."""
+    size = len(monomials)
+    dense = [[row.get(c, 0) for c in range(size)] for row in relations]
+    snf = intlat.smith_normal_form(dense or [[0] * size], u=False)
     factors = snf.invariant_factors()
     if any(d > 1 for d in factors):
         raise IntegrityError(f"degree-{degree} component has torsion")
     # rows of `free` vanish on the relations: they map the class of a
     # monomial vector to its coordinates in the free quotient Z^r
-    free = [[row[j] for row in snf.v] for j in range(len(factors), len(monomials))]
+    free = [[row[j] for row in snf.v] for j in range(len(factors), size)]
     r = len(free)
     # Basis walk in graded-lex order.  `inv` holds the columns of a
     # unimodular matrix taking the kept classes to the first unit vectors,
@@ -166,10 +221,22 @@ def _build_component(pres, degree):
     if len(basis) != r:
         raise IntegrityError(
             f"no unimodular monomial basis found for degree {degree}")
+    return basis, intlat.mat_mul(inv, free)
+
+
+def _build_component(pres, degree):
+    if degree % pres.generator_degree != 0 or degree < 0:
+        raise ValidationError(
+            f"degree {degree} is not a multiple of {pres.generator_degree}")
+    t = degree // pres.generator_degree
+    monomials = _monomials(len(pres.kept), t)
+    relations = _relations(pres, t, monomials)
+    basis, table = (_unit_pivot_basis(relations, monomials)
+                    or _smith_basis(relations, monomials, degree))
     return GradedComponent(
         degree=degree, monomials=monomials,
-        invariants=intlat.AbelianGroupInvariants(r, []),
-        basis_monomials=basis, table=intlat.mat_mul(inv, free))
+        invariants=intlat.AbelianGroupInvariants(len(basis), []),
+        basis_monomials=basis, table=table)
 
 
 def sr_presentation(k, deg=2):

@@ -37,11 +37,13 @@ class SimplicialComplexData:
         if covered != set(range(1, m + 1)):
             missing = sorted(set(range(1, m + 1)) - covered)
             raise ValidationError(f"vertices {missing} appear in no face")
-        for f in faces:
-            for g in faces:
-                if f != g and f <= g:
-                    raise ValidationError(
-                        f"maximal face {sorted(f)} is contained in {sorted(g)}")
+        # in a set of faces of one size, none contains another
+        if len({len(f) for f in faces}) > 1:
+            for f in faces:
+                for g in faces:
+                    if f != g and f <= g:
+                        raise ValidationError(
+                            f"maximal face {sorted(f)} is contained in {sorted(g)}")
 
     @property
     def m(self):

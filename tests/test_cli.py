@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -189,6 +189,28 @@ def test_cohomology_of_hexagon_takes_a_generator(capsys, tmp_path):
     data = json.loads(out)
     assert data["degrees"][2]["basis_monomials"] == [[1, 1, 0, 0]]
     assert data["total_class"]["4"] == [6]
+
+
+def test_cohomology_of_the_7_cube_bott_tower(capsys, tmp_path):
+    # m = 14 facets, 7 kept generators: the top degree has 1716 monomials
+    # and 3234 relations, all reduced on +-1 pivots
+    n = 7
+    p = pairgen.cube(n)
+    cols = pairgen.staged_columns(random.Random(1), [1] * n)
+    for flipped in ((), (1,)):
+        signs = [-1 if i in flipped else 1 for i in range(1, 2 * n + 1)]
+        body = {"polytope": {"m": 2 * n, "n": n,
+                             "vertices": [sorted(v) for v in p.vertices]},
+                "characteristic": {"n": n, "m": 2 * n, "columns": [
+                    [s * x for x in col] for col, s in zip(cols, signs)]}}
+        code, out, err = run(capsys, "cohomology", write_json(tmp_path, "c7.json", body))
+        assert code == 0, err
+        data = json.loads(out)
+        assert [(d["degree"], d["rank"], d["torsion"]) for d in data["degrees"]] \
+            == [(2 * k, comb(n, k), []) for k in range(n + 1)]
+        # the top class is the vertex count, each vertex signed by its facets
+        signed = sum(prod(signs[i - 1] for i in v) for v in p.vertices)
+        assert data["total_class"][str(2 * n)] in ([signed], [-signed]), flipped
 
 
 HP1_HOPF = {"polytope": {"m": 2, "n": 1, "vertices": [[1], [2]]},

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import pairgen
 from momang import cohomology as coh
 from momang import intlat
 from momang.charpair import from_columns
@@ -320,3 +321,81 @@ def test_components_agree_with_the_reference_construction():
                         reduce(parts.get(deg // 2, {}))
                 compared += 1
     assert compared >= 100
+
+
+# ----------------------------------------- the +-1 pivot path and the Smith path
+
+def degree_relations(pres, degree):
+    t = degree // pres.generator_degree
+    monomials = coh._monomials(len(pres.kept), t)
+    return coh._relations(pres, t, monomials), monomials
+
+
+def seeded_pairs():
+    """Bott towers over the n-cubes up to n = 5, generalized towers over
+    simplex products and blow-ups of the plane, every other one disguised."""
+    rng = random.Random(11)
+    pairs = [(pairgen.cube(n), pairgen.staged_columns(rng, [1] * n))
+             for n in range(1, 6) for _ in range(2)]
+    pairs += [(pairgen.simplex_product(dims), pairgen.staged_columns(rng, dims))
+              for dims in ([1, 2], [2, 2], [1, 3], [1, 1, 2], [3])]
+    pairs += [(pairgen.polygon(m), pairgen.polygon_columns(rng, m)) for m in range(3, 9)]
+    for k, (p, cols) in enumerate(pairs):
+        yield pairgen.disguise(rng, p, cols) if k % 2 else (p, from_columns(cols))
+
+
+def test_unit_pivot_path_agrees_with_the_smith_path_and_the_reference():
+    paths = {"unit": 0, "smith": 0}
+    for p, lam in seeded_pairs():
+        pres = coh.quasitoric_presentation(p, lam)
+        for deg in range(0, pres.base_dim + 1, 2):
+            relations, monomials = degree_relations(pres, deg)
+            fast = coh._unit_pivot_basis(relations, monomials)
+            if fast is None:
+                paths["smith"] += 1
+                continue
+            paths["unit"] += 1
+            basis, table = fast
+            assert fast == coh._smith_basis(relations, monomials, deg), (lam, deg)
+            ref_basis, invariants, reduce = reference_component(pres, deg)
+            assert (basis, (len(basis), [])) == (ref_basis, invariants), (lam, deg)
+            for j, mono in enumerate(monomials):
+                assert tuple(row[j] for row in table) == reduce({mono: 1}), (lam, mono)
+    assert paths["unit"] >= 60, paths
+
+
+def test_a_column_without_a_unit_entry_takes_the_smith_path(monkeypatch):
+    # x + 2y: the last column (y) holds only 2, so no +-1 pivot exists there;
+    # the quotient is still free on y, with x = -2y
+    smith_basis, smith_calls = coh._smith_basis, []
+
+    def spy(relations, monomials, degree):
+        smith_calls.append(degree)
+        return smith_basis(relations, monomials, degree)
+
+    monkeypatch.setattr(coh, "_smith_basis", spy)
+    pres = coh.GradedRingPresentation(m=2, generator_degree=2, non_faces=[],
+                                      kept=[1, 2], ideal=[{(1, 0): 1, (0, 1): 2}])
+    relations, monomials = degree_relations(pres, 2)
+    assert [sorted(r.values()) for r in relations] == [[1, 2]]
+    assert coh._unit_pivot_basis(relations, monomials) is None
+    comp = pres.component(2)
+    assert (comp.basis_monomials, comp.table) == ([(0, 1)], [[-2, 1]])
+    assert comp.invariants.free_rank == 1 and smith_calls == [2]
+    # with -2 in place of 2 the column still has no unit; with -1 it has one
+    pres.ideal = [{(1, 0): 1, (0, 1): -2}]
+    assert pres.component(4).basis_monomials == [(0, 2)] and smith_calls == [2, 4]
+    pres.ideal, pres._components = [{(1, 0): 1, (0, 1): -1}], {}
+    assert pres.component(2).table == [[1, 1]] and smith_calls == [2, 4]
+
+
+def test_hexagon_top_degree_takes_the_smith_path():
+    # x3^2 = -2 [pt] leaves no +-1 pivot in degree 4; the Smith path takes
+    # the generator x3 x4 and reduces over it
+    pres = coh.quasitoric_presentation(polygon(6), from_columns(HEXAGON))
+    relations, monomials = degree_relations(pres, 4)
+    assert coh._unit_pivot_basis(relations, monomials) is None
+    comp = pres.component(4)
+    assert comp.basis_monomials == [(1, 1, 0, 0)]
+    assert comp.table == [[-2, 1, 0, 0, -1, 1, 0, -1, 1, 0]]
+    assert comp.invariants.free_rank == 1 and not comp.invariants.torsion

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,14 @@ def test_polytope_rejects_non_pseudomanifold():
 def test_complex_rejects_contained_maximal_face():
     with pytest.raises(ValidationError, match="contained"):
         comb.simplicial_complex(3, [[1, 2, 3], [1, 2]])
+
+
+def test_complex_of_mixed_face_sizes_rejects_a_nested_face():
+    # faces of one size skip the containment check; mixed sizes still run it
+    with pytest.raises(ValidationError,
+                       match=re.escape("maximal face [1] is contained in [1, 2]")):
+        comb.simplicial_complex(3, [[1, 2], [1], [3]])
+    assert comb.simplicial_complex(3, [[1, 2], [3]]).dimension() == 1
 
 
 def test_complex_rejects_missing_vertex():
