@@ -10,8 +10,8 @@ quaternionic analogue over supported bases.
 from dataclasses import dataclass, field
 
 from . import intlat
-from .charpair import validate_quaternionic_functor
-from .cohomology import facet_class, quasitoric_presentation, CohomologyClass
+from .charpair import solved_form, validate_quaternionic_functor
+from .cohomology import CohomologyClass
 from .combinatorics import dual_complex
 from .errors import (IntegrityError, ShapeError, UnsupportedBaseError,
                      ValidationError)
@@ -44,25 +44,23 @@ def kernel_chern_classes(p, lam, diagnostics=False):
     yields twice a generator and therefore cannot be the class of the
     Hopf-model bundle.
     """
-    pres = quasitoric_presentation(p, lam)
+    _, _, form = solved_form(p, lam)
     a = intlat.kernel_basis(lam.rows())  # the validated pair is surjective
     r = len(a)
     m = lam.m
-    facet_coords = [list(facet_class(pres, i).coordinates) for i in range(1, m + 1)]
-    width = len(facet_coords[0]) if m else 0
+    # H^2 is free on the m - n kept facet classes (Davis-Januszkiewicz):
+    # no ideal generator has degree 1, and an anchor facet's class is
+    # minus its row of the solved form over the kept facets
+    kept = [i for i in range(1, m + 1) if i not in form]
+    facet_coords = [[-form[i][j - 1] for j in kept] if i in form
+                    else [int(i == j) for j in kept] for i in range(1, m + 1)]
     at = intlat.transpose(a) if a else [[] for _ in range(m)]
-    solved = intlat.solve_integer(at, [[facet_coords[i][j] for i in range(m)]
-                                       for j in range(width)])
+    solved = intlat.solve_integer(at, [list(col) for col in zip(*facet_coords)])
     if None in solved:
         raise IntegrityError("facet classes do not lie in the span of the kernel rows")
     coord_matrix = intlat.transpose(solved) if solved else [[] for _ in range(r)]
     classes = [CohomologyClass(2, tuple(coord_matrix[k])) for k in range(r)]
-    comp = pres.component(2)
-    basis_flag = (
-        comp.invariants.free_rank == r
-        and not comp.invariants.torsion
-        and (r == 0 or abs(intlat.det(coord_matrix)) == 1)
-    )
+    basis_flag = r == 0 or abs(intlat.det(coord_matrix)) == 1
     diag = None
     if diagnostics:
         contracted = intlat.mat_mul(a, facet_coords) if a else []

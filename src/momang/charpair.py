@@ -2,7 +2,8 @@
 
 Validates integer characteristic matrices (circle-subgroup data, one
 primitive column per facet) and quaternionic isotropy functors
-(coordinate label sets per facet).
+(coordinate label sets per facet), and solves a valid pair at its
+anchor vertex once for every caller.
 """
 
 from dataclasses import dataclass, field
@@ -99,6 +100,21 @@ def validate_characteristic_pair(p, lam):
         face_minor_gcds=face_gcds,
         failures=failures,
     )
+
+
+def solved_form(p, lam):
+    """Validate the pair and solve it at its anchor vertex.
+
+    The anchor is the lexicographically first vertex, unimodular since
+    the pair is valid.  Returns the anchor as a sorted tuple, the inverse
+    of its columns M, and N = M^-1.lam as an anchor facet -> row dict.
+    """
+    report = validate_characteristic_pair(p, lam)
+    if not report.valid:
+        raise ValidationError("invalid pair: " + "; ".join(report.failures))
+    anchor = min(tuple(sorted(v)) for v in p.vertices)
+    inv = intlat.inverse_unimodular(lam.columns(anchor))
+    return anchor, inv, dict(zip(anchor, intlat.mat_mul(inv, lam.rows())))
 
 
 @dataclass(frozen=True)

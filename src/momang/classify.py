@@ -17,8 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import intlat
-from .charpair import (from_columns, validate_characteristic_pair,
-                       validate_quaternionic_functor)
+from .charpair import from_columns, solved_form, validate_quaternionic_functor
 from .combinatorics import DEFAULT_SEARCH_BOUND, _isomorphism_search, dual_complex
 from .errors import IncomparableError, ValidationError
 
@@ -99,18 +98,16 @@ def _solve_signs(n1, n2):
     return e, s
 
 
-def _normal_forms(p2, lam2):
+def _normal_forms(p2, root_form):
     """M_w^-1.lam2 for every vertex w of p2, each as a facet -> row dict.
 
-    One unimodular inverse at the first vertex; every other vertex is
-    reached along an edge of the vertex graph, trading facet a of w for
-    facet b by one pivot on N_w[a][b], which is +-1 because both ends of
-    the edge are unimodular.
+    The root is the solved form of the second pair at its anchor; every
+    other vertex is reached along an edge of the vertex graph, trading
+    facet a of w for facet b by one pivot on N_w[a][b], which is +-1
+    because both ends of the edge are unimodular.
     """
-    root = p2.vertices[0]
-    rows = intlat.mat_mul(intlat.inverse_unimodular(lam2.columns(sorted(root))),
-                          lam2.rows())
-    normal = {root: dict(zip(sorted(root), rows))}
+    root = frozenset(root_form)
+    normal = {root: root_form}
     stack = [root]
     while stack:
         w = stack.pop()
@@ -147,9 +144,11 @@ def _certificate_search(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     of N1 as a multiset, an anchor facet maps into w onto a row with its
     sorted |row| and any other facet outside w onto a column with its
     sorted |column|; once w and the row order are fixed, every column
-    must match entry by entry.
+    must match entry by entry.  Both pairs are validated first, the first
+    pair first.
     """
-    anchor = min(tuple(sorted(v)) for v in p.vertices)
+    anchor, m1_inv, form1 = solved_form(p, lam)
+    _, _, form2 = solved_form(p2, lam2)
     last = anchor[-1]
     placed = [0] * (lam.m + 1)
     alive = [None] * (lam.m + 1)  # vertices of p2 still open after placing facet i
@@ -169,13 +168,11 @@ def _certificate_search(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
         return all(same_abs_column(normal[alive[i][0]], j, placed[j])
                    for j in range(1, last) if j not in form1)
 
-    # built first, so that the budget is checked before any normal form
+    # built before the walk, so that the budget is checked before it
     search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound, admit)
-    m1_inv = intlat.inverse_unimodular(lam.columns(anchor))
-    n1 = intlat.mat_mul(m1_inv, lam.rows())
-    form1 = dict(zip(anchor, n1))
+    n1 = list(form1.values())
     keys1 = _abs_keys(form1)
-    normal = _normal_forms(p2, lam2)
+    normal = _normal_forms(p2, form2)
     keys = {w: _abs_keys(form) for w, form in normal.items()}
     shape = sorted(k for i, k in keys1.items() if i not in form1)
     alive[0] = [w for w in normal
@@ -222,10 +219,6 @@ def rigidity_verdict_complex(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     Equivalent pairs carry equal kernel-bundle sublattices, so
     `bundle_report` states that without a recheck.
     """
-    for poly, cand in ((p, lam), (p2, lam2)):
-        report = validate_characteristic_pair(poly, cand)
-        if not report.valid:
-            raise ValidationError("invalid pair: " + "; ".join(report.failures))
     cert = _certificate_search(p, lam, p2, lam2, bound)
     if cert is not None:
         return RigidityVerdict(LEVEL_EQUIVALENT, certificate=cert,

@@ -6,8 +6,9 @@ minimal non-faces) modulo the linear relations read off the rows of the
 characteristic matrix.  Components are computed degreewise by exact
 integer linear algebra on monomial spanning sets: sparse elimination on
 +-1 pivots where every column allows one, a Smith form of the degree's
-relations otherwise.  A solved form eliminates the generators of one
-unimodular vertex so that all coefficients stay integral.
+relations otherwise.  The pair's solved form (`charpair.solved_form`)
+eliminates the generators of its anchor vertex, so that all
+coefficients stay integral.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from . import intlat
-from .charpair import validate_characteristic_pair
+from .charpair import solved_form
 from .combinatorics import dual_complex, minimal_non_faces
 from .errors import IntegrityError, ValidationError
 
@@ -259,30 +260,19 @@ def sr_presentation(k, deg=2):
 
 def quasitoric_presentation(p, lam):
     """Face ring of the dual complex modulo the rows of the matrix, in solved
-    form: the generators of the lexicographically first vertex are
-    eliminated in favor of the remaining m - n."""
-    report = validate_characteristic_pair(p, lam)
-    if not report.valid:
-        raise ValidationError("invalid pair: " + "; ".join(report.failures))
-    k = dual_complex(p)
+    form: the generators of the anchor vertex are eliminated in favor of
+    the remaining m - n."""
+    _, _, solved = solved_form(p, lam)
     m, n = p.facet_count, p.dim
-    vertex = min(tuple(sorted(v)) for v in p.vertices)  # unimodular, as the pair is valid
-    kept = [i for i in range(1, m + 1) if i not in vertex]
-    lam_v = lam.columns(vertex)
-    lam_r = lam.columns(kept)
-    # v_vertex = -lam_v^{-1} lam_r v_kept, integral since the vertex is unimodular
-    coeffs = intlat.mat_mul(intlat.inverse_unimodular(lam_v), lam_r)
+    kept = [i for i in range(1, m + 1) if i not in solved]
+    # v_anchor = -N[:, kept] v_kept, integral since the anchor is unimodular
     eliminated = {}
-    for row, facet in enumerate(vertex):
-        poly = {}
-        for col in range(len(kept)):
-            c = -coeffs[row][col]
-            if c:
-                mono = tuple(1 if j == col else 0 for j in range(len(kept)))
-                poly[mono] = c
-        eliminated[facet] = poly
+    for facet, row in solved.items():
+        eliminated[facet] = {
+            tuple(int(j == col) for j in range(len(kept))): -row[i - 1]
+            for col, i in enumerate(kept) if row[i - 1]}
     pres = GradedRingPresentation(
-        m=m, generator_degree=2, non_faces=minimal_non_faces(k),
+        m=m, generator_degree=2, non_faces=minimal_non_faces(dual_complex(p)),
         linear_relations=lam.rows(), kept=kept, eliminated=eliminated,
         base_dim=2 * n)
     for face in pres.non_faces:
@@ -342,12 +332,11 @@ def total_chern_class(pres):
     if not pres.linear_relations:
         raise ValidationError("total class needs a quasitoric presentation")
     n = pres.base_dim // 2
-    unit = {tuple([0] * len(pres.kept)): 1}
-    prod = dict(unit)
+    prod = {tuple([0] * len(pres.kept)): 1}
     for i in range(1, pres.m + 1):
-        factor = poly_add(unit, pres.generator_poly(i))
-        prod = poly_mul(prod, factor)
-        prod = {mono: c for mono, c in prod.items() if sum(mono) <= n}
+        # (1 + x_i) only raises degree by one: multiply what is below n
+        low = {mono: c for mono, c in prod.items() if sum(mono) < n}
+        prod = poly_add(prod, poly_mul(low, pres.generator_poly(i)))
     parts = poly_degree_parts(prod)
     return [class_from_polynomial(pres, parts.get(t, {}), 2 * t)
             for t in range(1, n + 1)]

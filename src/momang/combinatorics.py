@@ -166,11 +166,13 @@ def enumerate_faces(k):
 
 
 def minimal_non_faces(k):
-    """Inclusion-minimal subsets of 1..m that are not faces, deterministic order."""
+    """Inclusion-minimal subsets of 1..m that are not faces, by size and then
+    lexicographically.  Removing a vertex from one leaves a face, so none
+    has more than dimension + 2 vertices."""
     m = k.vertex_count
     faces = {f for level in enumerate_faces(k) for f in level}
     result = []
-    for size in range(1, m + 1):
+    for size in range(1, min(m, k.dimension() + 2) + 1):
         for subset in combinations(range(1, m + 1), size):
             if subset in faces:
                 continue

@@ -4,6 +4,7 @@ Polytopes are `SimplePolytopeData`, pairs are column lists; nothing here
 calls the search code under test.
 """
 
+import random
 from itertools import combinations, product
 
 from momang.charpair import from_columns
@@ -99,6 +100,19 @@ def disguise(rng, p, cols):
     return q, from_columns(cols)
 
 
+def seeded_pairs():
+    """Bott towers over the n-cubes up to n = 5, generalized towers over
+    simplex products and blow-ups of the plane, every other one disguised."""
+    rng = random.Random(11)
+    pairs = [(cube(n), staged_columns(rng, [1] * n))
+             for n in range(1, 6) for _ in range(2)]
+    pairs += [(simplex_product(dims), staged_columns(rng, dims))
+              for dims in ([1, 2], [2, 2], [1, 3], [1, 1, 2], [3])]
+    pairs += [(polygon(m), polygon_columns(rng, m)) for m in range(3, 9)]
+    for k, (p, cols) in enumerate(pairs):
+        yield disguise(rng, p, cols) if k % 2 else (p, from_columns(cols))
+
+
 def relabel_complex(k, perm):
     return simplicial_complex(k.vertex_count,
                               [[perm[i - 1] for i in f] for f in k.maximal_faces])
@@ -112,3 +126,12 @@ def random_complex(rng, m):
         maximal = [f for f in faces if not any(f < g for g in faces)]
         if set().union(*maximal) == set(range(1, m + 1)):
             return simplicial_complex(m, maximal)
+
+
+def random_flag_complex(rng, m):
+    """The clique complex of a random graph on 1..m."""
+    edges = {e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5}
+    cliques = [set(c) for size in range(1, m + 1)
+               for c in combinations(range(1, m + 1), size)
+               if all(e in edges for e in combinations(c, 2))]
+    return simplicial_complex(m, [c for c in cliques if not any(c < d for d in cliques)])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import pairgen
-from momang import bundles, cohomology, intlat
+from momang import bundles, classify, cli, cohomology, intlat
 from momang.charpair import from_columns, isotropy_functor
 from momang.combinatorics import simple_polytope
 from momang.errors import ShapeError, UnsupportedBaseError, ValidationError
@@ -98,6 +98,71 @@ def test_one_smith_form_solves_every_column_as_one_at_a_time(family):
         assert intlat.solve_integer(at, rhs) == one_at_a_time
         tup = bundles.kernel_chern_classes(p, lam)
         assert tup.coordinate_matrix() == intlat.transpose(one_at_a_time)
+
+
+def test_solved_form_classes_match_the_graded_ring():
+    # the ring's degree-2 component stays the oracle for the classes read
+    # off the solved form, and for the flag without its rank and torsion terms
+    for p, lam in pairgen.seeded_pairs():
+        pres = cohomology.quasitoric_presentation(p, lam)
+        ring = [list(cohomology.facet_class(pres, i).coordinates)
+                for i in range(1, lam.m + 1)]
+        tup = bundles.kernel_chern_classes(p, lam, diagnostics=True)
+        a = intlat.kernel_basis(lam.rows())
+        c = tup.coordinate_matrix()
+        r = len(a)
+        # x_i = sum_k a_ki c_k holds exactly, so the tuple gives back x_i
+        assert intlat.mat_mul(intlat.transpose(a), c) == ring, lam
+        assert [list(x.coordinates) for x in tup.contracted_classes] == (
+            intlat.mat_mul(a, ring)), lam
+        comp = pres.component(2)
+        assert tup.basis_flag == (
+            comp.invariants.free_rank == r and not comp.invariants.torsion
+            and (r == 0 or abs(intlat.det(c)) == 1)), lam
+
+
+def test_chern_builds_no_graded_component(monkeypatch, capsys):
+    def refuse(pres, degree):
+        raise AssertionError(f"degree-{degree} component built")
+
+    monkeypatch.setattr(cohomology, "_build_component", refuse)
+    pairs = [e["name"] for e in cli.load_corpus() if "characteristic" in e]
+    assert pairs
+    for name in pairs:
+        assert cli.main(["chern", f"corpus:{name}", "--diagnostics"]) == 0, name
+    capsys.readouterr()
+
+
+def test_an_invalid_pair_gives_one_message_everywhere():
+    p, bad = square(), from_columns([[1, 0], [1, 2], [-1, 0], [0, -1]])
+    raised = []
+    for call in (lambda: cohomology.quasitoric_presentation(p, bad),
+                 lambda: bundles.kernel_chern_classes(p, bad),
+                 lambda: classify.rigidity_verdict_complex(p, bad, p, hirzebruch(1)),
+                 lambda: classify.rigidity_verdict_complex(p, hirzebruch(1), p, bad)):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        raised.append(str(exc.value))
+    assert raised[0].startswith("invalid pair: vertex [1, 2] has determinant 2")
+    assert raised == [raised[0]] * len(raised)
+
+
+def test_the_first_invalid_pair_is_reported():
+    p = square()
+    first = from_columns([[1, 0], [1, 2], [-1, 0], [0, -1]])
+    second = from_columns([[2, 1], [0, 1], [-1, 0], [0, -1]])
+    messages = []
+    for lam in (first, second):
+        with pytest.raises(ValidationError) as exc:
+            bundles.kernel_chern_classes(p, lam)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(ValidationError) as exc:
+        classify.rigidity_verdict_complex(p, first, p, second)
+    assert str(exc.value) == messages[0]
+    with pytest.raises(ValidationError) as exc:
+        classify.rigidity_verdict_complex(p, second, p, first)
+    assert str(exc.value) == messages[1]
 
 
 def test_simplex_h4_presentation():

@@ -370,6 +370,23 @@ def test_compare_budget_below_m_keeps_its_message(capsys, first, second, m):
                    f"vertices, got {m}\n")
 
 
+def test_compare_validates_before_the_budget(capsys, tmp_path):
+    # a 13-gon is over the default bound of 12: a valid pair stops at the
+    # budget, an invalid one is reported as invalid first
+    cols = pairgen.polygon_columns(random.Random(13), 13)
+    valid = dict(polygon(13), characteristic={"n": 2, "m": 13, "columns": cols})
+    invalid = dict(polygon(13), characteristic={
+        "n": 2, "m": 13, "columns": [[2 * x for x in cols[0]]] + cols[1:]})
+    good = write_json(tmp_path, "good.json", valid)
+    bad = write_json(tmp_path, "bad.json", invalid)
+    code, out, err = run(capsys, "compare", good, good)
+    assert (code, out) == (5, "") and err.startswith("budget exceeded: ")
+    for first, second in ((bad, good), (good, bad), (bad, bad)):
+        code, out, err = run(capsys, "compare", first, second)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("validation failure: invalid pair: column of facet 1 ")
+
+
 def test_compare_incomparable_with_equal_counts(capsys, tmp_path):
     # the 3-cube against the tetrahedron with two vertices cut off: both
     # have m = 6 facets, n = 3 and 8 vertices, but no isomorphism

@@ -331,22 +331,9 @@ def degree_relations(pres, degree):
     return coh._relations(pres, t, monomials), monomials
 
 
-def seeded_pairs():
-    """Bott towers over the n-cubes up to n = 5, generalized towers over
-    simplex products and blow-ups of the plane, every other one disguised."""
-    rng = random.Random(11)
-    pairs = [(pairgen.cube(n), pairgen.staged_columns(rng, [1] * n))
-             for n in range(1, 6) for _ in range(2)]
-    pairs += [(pairgen.simplex_product(dims), pairgen.staged_columns(rng, dims))
-              for dims in ([1, 2], [2, 2], [1, 3], [1, 1, 2], [3])]
-    pairs += [(pairgen.polygon(m), pairgen.polygon_columns(rng, m)) for m in range(3, 9)]
-    for k, (p, cols) in enumerate(pairs):
-        yield pairgen.disguise(rng, p, cols) if k % 2 else (p, from_columns(cols))
-
-
 def test_unit_pivot_path_agrees_with_the_smith_path_and_the_reference():
     paths = {"unit": 0, "smith": 0}
-    for p, lam in seeded_pairs():
+    for p, lam in pairgen.seeded_pairs():
         pres = coh.quasitoric_presentation(p, lam)
         for deg in range(0, pres.base_dim + 1, 2):
             relations, monomials = degree_relations(pres, deg)

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -88,6 +89,29 @@ def test_minimal_non_faces_square():
 def test_minimal_non_faces_simplex_boundary():
     k = comb.dual_complex(simplex(2))
     assert comb.minimal_non_faces(k) == [(1, 2, 3)]
+
+
+def unbounded_minimal_non_faces(k):
+    # every size up to m, as the scan did before it stopped at dimension + 2
+    m = k.vertex_count
+    faces = {f for level in comb.enumerate_faces(k) for f in level}
+    return [s for size in range(1, m + 1) for s in combinations(range(1, m + 1), size)
+            if s not in faces and all(t in faces for t in combinations(s, size - 1))]
+
+
+def test_minimal_non_faces_match_the_unbounded_scan():
+    rng = random.Random("minimal non-faces")
+    complexes = [comb.dual_complex(pairgen.cube(n)) for n in range(1, 8)]
+    complexes += [comb.dual_complex(pairgen.simplex_product(dims))
+                  for dims in ([1, 2], [2, 2], [1, 3], [1, 1, 2], [3, 3])]
+    for m in range(3, 11):
+        perm = list(range(1, m + 1))
+        rng.shuffle(perm)
+        k = comb.dual_complex(pairgen.polygon(m))
+        complexes.append(pairgen.relabel_complex(k, perm))
+    complexes += [pairgen.random_flag_complex(rng, rng.randint(3, 9)) for _ in range(12)]
+    for k in complexes:
+        assert comb.minimal_non_faces(k) == unbounded_minimal_non_faces(k)
 
 
 def test_automorphisms_square_is_dihedral():

@@ -1,8 +1,9 @@
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
+import pairgen
 from momang import intlat, moment_angle as ma
 from momang.combinatorics import dual_complex, simple_polytope, simplicial_complex
 from momang.errors import BudgetError, ValidationError
@@ -36,14 +37,6 @@ def random_sparse_complex(rng, m):
              for _ in range(rng.randint(3, 2 * m))]
     faces += [{i} for i in range(1, m + 1) if not any(i in f for f in faces)]
     return simplicial_complex(m, [f for f in faces if not any(f < g for g in faces)])
-
-
-def random_flag_complex(rng, m):
-    edges = {e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5}
-    cliques = [set(c) for size in range(1, m + 1)
-               for c in combinations(range(1, m + 1), size)
-               if all(e in edges for e in combinations(c, 2))]
-    return simplicial_complex(m, [c for c in cliques if not any(c < d for d in cliques)])
 
 
 RP2_6 = simplicial_complex(6, [[1, 2, 4], [1, 3, 4], [1, 3, 5], [1, 2, 6], [1, 5, 6],
@@ -176,7 +169,7 @@ def test_top_dimension_is_the_manifold_dimension():
 def test_homology_matches_global_smith_form(flavor):
     rng = random.Random(29)
     complexes = [random_sparse_complex(rng, rng.randint(3, 7)) for _ in range(12)]
-    complexes += [random_flag_complex(rng, rng.randint(3, 7)) for _ in range(12)]
+    complexes += [pairgen.random_flag_complex(rng, rng.randint(3, 7)) for _ in range(12)]
     for k in complexes:
         profile = ma.homology(ma.build_cell_model(k, flavor))
         got = {deg: (g.free_rank, g.torsion) for deg, g in profile.groups.items()}
