@@ -13,13 +13,13 @@ from .combinatorics import (SimplePolytopeData, SimplicialComplexData,
                             simplicial_complex)
 from .intlat import (AbelianGroupInvariants, SmithDecomposition,
                      hermite_row_form, kernel_basis, maximal_minor_gcd,
-                     smith_normal_form, solve_integer)
+                     smith_normal_form)
 from .charpair import (CharacteristicMatrix, QuaternionicIsotropyFunctor,
                        characteristic_matrix, from_columns, isotropy_functor,
                        validate_characteristic_pair, validate_global,
                        validate_quaternionic_functor)
-from .moment_angle import (COMPLEX, QUATERNIONIC, build_cell_model, dimension,
-                           dimension_report, euler_characteristic, homology)
+from .moment_angle import (COMPLEX, QUATERNIONIC, dimension, dimension_report,
+                           homology)
 from .cohomology import (facet_class, graded_component, multiply,
                          quasitoric_presentation, sr_presentation,
                          total_chern_class)

@@ -13,8 +13,7 @@ from . import intlat
 from .charpair import solved_form, validate_quaternionic_functor
 from .cohomology import CohomologyClass
 from .combinatorics import dual_complex
-from .errors import (IntegrityError, ShapeError, UnsupportedBaseError,
-                     ValidationError)
+from .errors import ShapeError, UnsupportedBaseError, ValidationError
 
 
 @dataclass
@@ -46,27 +45,23 @@ def kernel_chern_classes(p, lam, diagnostics=False):
     """
     _, _, form = solved_form(p, lam)
     a = intlat.kernel_basis(lam.rows())  # the validated pair is surjective
-    r = len(a)
-    m = lam.m
-    # H^2 is free on the m - n kept facet classes (Davis-Januszkiewicz):
-    # no ideal generator has degree 1, and an anchor facet's class is
-    # minus its row of the solved form over the kept facets
-    kept = [i for i in range(1, m + 1) if i not in form]
-    facet_coords = [[-form[i][j - 1] for j in kept] if i in form
-                    else [int(i == j) for j in kept] for i in range(1, m + 1)]
-    at = intlat.transpose(a) if a else [[] for _ in range(m)]
-    solved = intlat.solve_integer(at, [list(col) for col in zip(*facet_coords)])
-    if None in solved:
-        raise IntegrityError("facet classes do not lie in the span of the kernel rows")
-    coord_matrix = intlat.transpose(solved) if solved else [[] for _ in range(r)]
-    classes = [CohomologyClass(2, tuple(coord_matrix[k])) for k in range(r)]
-    basis_flag = r == 0 or abs(intlat.det(coord_matrix)) == 1
+    # H^2 is free on the m - n kept facet classes (Davis-Januszkiewicz): no
+    # ideal generator has degree 1, so a kept facet's class is a unit vector
+    # and the relation over the kept facets says that the class matrix
+    # inverts the transposed kept columns of the kernel basis
+    kept = [i for i in range(1, lam.m + 1) if i not in form]
+    coord_matrix = intlat.inverse_unimodular([[row[i - 1] for row in a] for i in kept])
+    classes = [CohomologyClass(2, tuple(row)) for row in coord_matrix]
     diag = None
     if diagnostics:
+        # an anchor facet's class is minus its row of the solved form
+        facet_coords = [[-form[i][j - 1] for j in kept] if i in form
+                        else [int(i == j) for j in kept] for i in range(1, lam.m + 1)]
         contracted = intlat.mat_mul(a, facet_coords) if a else []
         diag = [CohomologyClass(2, tuple(row)) for row in contracted]
-    return ChernTuple(classes=classes, basis_flag=basis_flag,
-                      contracted_classes=diag)
+    # the inverse of a unimodular matrix is unimodular, so the tuple is
+    # always a Z-basis of the degree-2 component
+    return ChernTuple(classes=classes, basis_flag=True, contracted_classes=diag)
 
 
 @dataclass

@@ -217,11 +217,10 @@ def cmd_homology(args):
     if flavor not in (moment_angle.COMPLEX, moment_angle.QUATERNIONIC):
         raise InputError(f"unknown flavor {flavor!r}; expected "
                          f"{moment_angle.COMPLEX!r} or {moment_angle.QUATERNIONIC!r}")
-    model = moment_angle.build_cell_model(k, flavor, budget=args.budget)
-    profile = moment_angle.homology(model)
+    profile = moment_angle.homology(k, flavor, budget=args.budget)
     data = {
         "flavor": flavor,
-        "euler_characteristic": moment_angle.euler_characteristic(model),
+        "euler_characteristic": profile.euler_characteristic,
         "degrees": [
             {"k": deg, "rank": g.free_rank, "torsion": list(g.torsion)}
             for deg, g in sorted(profile.groups.items())

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 
 Matrix = list  # list[list[int]], row-major
 
@@ -298,37 +298,10 @@ def hermite_row_form(mat):
     return rows[:pivot_row]
 
 
-def solve_integer(bt, xs):
-    """Solve bt @ c = x over the integers for every right-hand side x in xs.
-
-    One Smith form of bt serves every x.  Returns one entry per x: the
-    solution vector c (with free coordinates set to 0), or None when that
-    x has no integer solution.  A unique solution is returned exactly.
-    """
-    p = len(bt)
-    q = len(bt[0]) if bt else 0
-    for x in xs:
-        if len(x) != p:
-            raise ShapeError(f"vector length {len(x)} does not match {p} rows")
-    snf = smith_normal_form(bt)
-
-    def solve(x):
-        w = [0] * q
-        for i, y in enumerate(mat_vec(snf.u, x)):
-            d = snf.d[i][i] if i < q else 0
-            if (y % d if d else y) != 0:
-                return None
-            if d:
-                w[i] = y // d
-        return mat_vec(snf.v, w)
-
-    return [solve(x) for x in xs]
-
-
 def inverse_unimodular(mat):
     """Exact inverse of a unimodular integer matrix."""
     snf = smith_normal_form(mat)
     n = len(mat)
     if snf.d != identity(n):
-        raise ValueError("matrix is not unimodular")
+        raise ValidationError("matrix is not unimodular")
     return mat_mul(snf.v, snf.u)

@@ -11,8 +11,8 @@ subcomplex K_J shifted by c|J| (Hochster's formula); both flavors share
 every block and differ only in the shift.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd, lcm
 
 from .combinatorics import enumerate_faces
@@ -25,20 +25,6 @@ QUATERNIONIC = "quaternionic"
 SPHERE_DIMS = {COMPLEX: 1, QUATERNIONIC: 3}
 
 HOMOLOGY_BUDGET = 10
-
-
-@dataclass
-class CellModel:
-    m: int
-    flavor: str
-    cells: dict       # total dimension -> list of (face sigma, block J) pairs
-    boundaries: dict  # (J, k) -> block matrix (rows: cells of J in k-1, cols: in k)
-
-    def top_dimension(self):
-        return max(self.cells)
-
-    def cell_counts(self):
-        return {k: len(v) for k, v in self.cells.items()}
 
 
 def _sphere_dim(flavor):
@@ -78,49 +64,10 @@ def dimension_report(k, flavor, n):
     return DimensionReport(flavor, value, naive, value != naive)
 
 
-def build_cell_model(k, flavor, budget=None):
-    """Enumerate the cells face by face and the boundary matrices block by block.
-
-    Block J holds the faces of K_J by size; the boundary of (sigma, J)
-    drops the vertex at position p of sigma with sign (-1)^p.  This sign
-    differs from the Koszul sign of the product complex by a sign change
-    of each cell, which leaves every invariant factor as it is.
-    `boundaries` maps (J, dimension) to the block's matrix.
-    """
-    shift = _sphere_dim(flavor)
-    m = k.vertex_count
-    limit = HOMOLOGY_BUDGET if budget is None else budget
-    if m > limit:
-        raise BudgetError(
-            f"cell enumeration over 3^{m} tuples exceeds the budget m <= {limit}", limit)
-    blocks = {}  # J -> size -> faces of K_J
-    for face in [()] + [f for level in enumerate_faces(k) for f in level]:
-        rest = [i for i in range(1, m + 1) if i not in face]
-        for size in range(len(rest) + 1):
-            for extra in combinations(rest, size):
-                levels = blocks.setdefault(tuple(sorted(face + extra)), {})
-                levels.setdefault(len(face), []).append(face)
-
-    cells = {}
-    boundaries = {}
-    for block, levels in blocks.items():
-        base = shift * len(block)
-        for size, level in levels.items():
-            cells.setdefault(size + base, []).extend((face, block) for face in level)
-            if not size:
-                continue
-            lower = {face: row for row, face in enumerate(levels[size - 1])}
-            matrix = [[0] * len(level) for _ in lower]
-            for col, face in enumerate(level):
-                for pos in range(size):
-                    matrix[lower[face[:pos] + face[pos + 1:]]][col] = -1 if pos % 2 else 1
-            boundaries[(block, size + base)] = matrix
-    return CellModel(m=m, flavor=flavor, cells=cells, boundaries=boundaries)
-
-
 @dataclass
 class HomologyProfile:
     groups: dict  # degree -> AbelianGroupInvariants, degrees 0..top
+    euler_characteristic: int
 
     def rank(self, degree):
         g = self.groups.get(degree)
@@ -134,29 +81,68 @@ class HomologyProfile:
         return [d for d, g in sorted(self.groups.items()) if not g.is_trivial()]
 
 
-def homology(model):
-    """Integral homology of the model from one Smith form per boundary block.
+def homology(k, flavor, budget=None):
+    """Integral homology of the model from one Smith form per non-face block.
 
-    A block whose non-empty J is a face of K is the augmented chain
-    complex of a simplex, which is exact: its boundary out of faces of
-    size s has rank C(|J|-1, s-1) and every invariant factor 1, so it
-    needs no Smith form.  The block of the empty J keeps its Z.
+    Walking each face sigma of K with each J containing it keeps the faces
+    of K_J by size, but only for a J that is not a face.  Their boundary
+    drops the vertex at position p of sigma with sign (-1)^p, which differs
+    from the Koszul sign of the product complex by a sign change of each
+    cell and leaves every invariant factor as it is.  A block whose J is a
+    face is the augmented chain complex of a simplex, which is exact: it
+    has C(j, s) cells of degree s + c*j and, out of each s >= 1, a boundary
+    of rank C(j - 1, s - 1) with every invariant factor 1, so it is counted,
+    not built.  The empty J keeps its Z in degree 0.
     """
-    shift = _sphere_dim(model.flavor)
-    factors = {}
-    for (block, dim), mat in model.boundaries.items():
-        j = len(block)
-        if (block, j * (shift + 1)) in model.boundaries:  # J is a face
-            found = [1] * comb(j - 1, dim - shift * j - 1)
-        else:
-            found = invariant_factors(mat)
-        factors.setdefault(dim, []).extend(found)
+    shift = _sphere_dim(flavor)
+    m = k.vertex_count
+    limit = HOMOLOGY_BUDGET if budget is None else budget
+    if m > limit:
+        raise BudgetError(
+            f"cell enumeration over 3^{m} tuples exceeds the budget m <= {limit}", limit)
+    faces = [()] + [f for level in enumerate_faces(k) for f in level]
+    # a vertex set is a mask with bit i for vertex i; each J containing
+    # sigma is sigma joined to a non-empty subset of the other vertices
+    masks = {face: sum(1 << v for v in face) for face in faces}
+    is_face = set(masks.values())
+    vertices = (1 << (m + 1)) - 2
+    blocks = {}  # mask of a J that is not a face -> size -> faces of K_J
+    for face, own in masks.items():
+        rest = vertices & ~own
+        extra = rest
+        while extra:
+            block = own | extra
+            if block not in is_face:
+                blocks.setdefault(block, {}).setdefault(len(face), []).append(face)
+            extra = (extra - 1) & rest
+
+    cells = Counter()  # degree -> cells
+    ranks = Counter()  # degree -> rank of the boundary out of that degree
+    torsion = {}       # degree -> invariant factors > 1 of that boundary
+    for face in faces:
+        j = len(face)
+        for size in range(j + 1):
+            cells[size + shift * j] += comb(j, size)
+            ranks[size + shift * j] += comb(j - 1, size - 1) if size else 0
+    for block, levels in blocks.items():
+        base = shift * block.bit_count()
+        for size, level in levels.items():
+            cells[size + base] += len(level)
+            if not size:
+                continue
+            lower = {face: row for row, face in enumerate(levels[size - 1])}
+            matrix = [[0] * len(level) for _ in lower]
+            for col, face in enumerate(level):
+                for pos in range(size):
+                    matrix[lower[face[:pos] + face[pos + 1:]]][col] = -1 if pos % 2 else 1
+            found = invariant_factors(matrix)
+            ranks[size + base] += len(found)
+            torsion.setdefault(size + base, []).extend(x for x in found if x > 1)
     groups = {}
-    for deg in range(model.top_dimension() + 1):
-        above = factors.get(deg + 1, [])
-        free = len(model.cells.get(deg, [])) - len(factors.get(deg, [])) - len(above)
-        groups[deg] = AbelianGroupInvariants(free, _merge_torsion(x for x in above if x > 1))
-    return HomologyProfile(groups=groups)
+    for deg in range(max(cells) + 1):
+        free = cells[deg] - ranks[deg] - ranks[deg + 1]
+        groups[deg] = AbelianGroupInvariants(free, _merge_torsion(torsion.get(deg + 1, [])))
+    return HomologyProfile(groups, sum((-1) ** deg * n for deg, n in cells.items()))
 
 
 def _merge_torsion(orders):
@@ -171,14 +157,6 @@ def _merge_torsion(orders):
             chain[i], t = gcd(x, t), lcm(x, t)
         chain.append(t)
     return [x for x in chain if x > 1]
-
-
-def euler_characteristic(model):
-    return sum((-1) ** dim * len(level) for dim, level in model.cells.items())
-
-
-def euler_characteristic_from_homology(profile):
-    return sum((-1) ** deg * g.free_rank for deg, g in profile.groups.items())
 
 
 def is_sphere_profile(profile, dim):

@@ -51,7 +51,7 @@ def test_criterion_1_complex_sphere_oracle():
     started = time.monotonic()
     for n in range(1, 5):
         k = dual_complex(simplex(n))
-        profile = ma.homology(ma.build_cell_model(k, ma.COMPLEX))
+        profile = ma.homology(k, ma.COMPLEX)
         ok = ok and ma.is_sphere_profile(profile, 2 * n + 1)
     ok = ok and (time.monotonic() - started) < 10.0
     report(1, "complex sphere oracle", ok)
@@ -61,7 +61,7 @@ def test_criterion_2_quaternionic_sphere_oracle():
     ok = True
     for n in range(1, 4):
         k = dual_complex(simplex(n))
-        profile = ma.homology(ma.build_cell_model(k, ma.QUATERNIONIC))
+        profile = ma.homology(k, ma.QUATERNIONIC)
         ok = ok and ma.is_sphere_profile(profile, 4 * n + 3)
     report(2, "quaternionic sphere oracle", ok)
 
@@ -76,7 +76,7 @@ def test_criterion_3_dimension_erratum():
         ok = ok and rep.differs_from_m_plus_n
     # oracle confirms the top nonvanishing degree for the segment
     k1 = dual_complex(simplex(1))
-    profile = ma.homology(ma.build_cell_model(k1, ma.QUATERNIONIC))
+    profile = ma.homology(k1, ma.QUATERNIONIC)
     ok = ok and max(profile.nonzero_degrees()) == 7
     # the validation report surfaces the flag end to end
     code = None
@@ -96,7 +96,7 @@ def test_criterion_4_hopf_consistency():
     tup = bundles.kernel_chern_classes(p, lam, diagnostics=True)
     coords = [list(c.coordinates) for c in tup.classes]
     ok = coords in ([[1]], [[-1]])
-    profile = ma.homology(ma.build_cell_model(dual_complex(p), ma.COMPLEX))
+    profile = ma.homology(dual_complex(p), ma.COMPLEX)
     ok = ok and profile.rank(1) == 0 and profile.rank(2) == 0
     ok = ok and not profile.torsion(1) and not profile.torsion(2)
     ok = ok and tup.basis_flag

@@ -216,7 +216,7 @@ def reference_component(pres, degree):
     """The earlier construction, kept as an oracle.  The free coordinates of
     a monomial vector come from the Smith transform V of the relations; the
     basis is taken greedily by rank and accepted only when its determinant
-    is +-1; each class is reduced by its own integer solve.  Returns the
+    is +-1; each class is reduced by the inverse of that basis.  Returns the
     basis monomials, the invariants and the reduction, or raises
     IntegrityError where that construction finds no basis."""
     t = degree // pres.generator_degree
@@ -253,6 +253,7 @@ def reference_component(pres, degree):
             coords.append(fc)
     if len(basis) != rank or (rank and abs(intlat.det(coords)) != 1):
         raise IntegrityError(f"no unimodular monomial basis for degree {degree}")
+    inverse = intlat.inverse_unimodular(intlat.transpose(coords))
 
     def reduce(poly):
         vec = [0] * cols
@@ -260,8 +261,7 @@ def reference_component(pres, degree):
             vec[index[mono]] += c
         if not rank:
             return ()
-        return tuple(intlat.solve_integer(intlat.transpose(coords),
-                                          [free_coordinates(vec)])[0])
+        return tuple(intlat.mat_vec(inverse, free_coordinates(vec)))
 
     return basis, (rank, [d for d in elementary if d > 1]), reduce
 
