@@ -7,8 +7,6 @@ computed here, together with the degree-4 primary tuples of the
 quaternionic analogue over supported bases.
 """
 
-from dataclasses import dataclass, field
-
 from . import intlat
 from .charpair import solved_form, validate_quaternionic_functor
 from .cohomology import CohomologyClass
@@ -16,7 +14,6 @@ from .combinatorics import dual_complex
 from .errors import ShapeError, UnsupportedBaseError, ValidationError
 
 
-@dataclass
 class ChernTuple:
     """Degree-2 classes of the circle factors of the kernel bundle.
 
@@ -26,9 +23,12 @@ class ChernTuple:
     direct contraction c_k = sum_i a_ki x_i for side-by-side comparison.
     """
 
-    classes: list  # list of CohomologyClass
-    basis_flag: bool
-    contracted_classes: list = field(default=None)
+    __slots__ = ("classes", "basis_flag", "contracted_classes")
+
+    def __init__(self, classes: list, basis_flag: bool, contracted_classes: list | None = None):
+        self.classes = classes  # list of CohomologyClass
+        self.basis_flag = basis_flag
+        self.contracted_classes = contracted_classes
 
     def coordinate_matrix(self):
         return [list(c.coordinates) for c in self.classes]
@@ -64,7 +64,6 @@ def kernel_chern_classes(p, lam, diagnostics=False):
     return ChernTuple(classes=classes, basis_flag=True, contracted_classes=diag)
 
 
-@dataclass
 class H4Presentation:
     """A presentation of the degree-4 cohomology of a quoric base.
 
@@ -72,15 +71,20 @@ class H4Presentation:
     the characteristic submanifold of facet i.
     """
 
-    free_rank: int
-    torsion: list
-    facet_class_coords: list
+    __slots__ = ("free_rank", "torsion", "facet_class_coords")
+
+    def __init__(self, free_rank: int, torsion: list, facet_class_coords: list):
+        self.free_rank = free_rank
+        self.torsion = torsion
+        self.facet_class_coords = facet_class_coords
 
 
-@dataclass
 class QuaternionicPrimaryTuple:
-    classes: list  # list of integer coordinate vectors in the presentation
-    base_dim: int
+    __slots__ = ("classes", "base_dim")
+
+    def __init__(self, classes: list, base_dim: int):
+        self.classes = classes  # list of integer coordinate vectors in the presentation
+        self.base_dim = base_dim
 
 
 def _is_simplex_dual(k):

@@ -6,7 +6,6 @@ primitive column per facet) and quaternionic isotropy functors
 anchor vertex once for every caller.
 """
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from . import intlat
@@ -14,15 +13,15 @@ from .combinatorics import dual_complex, enumerate_faces
 from .errors import ShapeError, ValidationError
 
 
-@dataclass(frozen=True)
 class CharacteristicMatrix:
     """An n x m integer matrix; column i is the subgroup vector of facet i."""
 
-    n: int
-    m: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ("n", "m", "entries")
 
-    def __post_init__(self):
+    def __init__(self, n: int, m: int, entries: tuple):
+        self.n = n
+        self.m = m
+        self.entries = entries  # tuple of row tuples
         if len(self.entries) != self.n or any(len(r) != self.m for r in self.entries):
             raise ShapeError(f"expected {self.n}x{self.m} entries")
 
@@ -51,15 +50,20 @@ def from_columns(columns):
     return characteristic_matrix([[c[r] for c in columns] for r in range(n)])
 
 
-@dataclass
 class PairReport:
     """Validation report for a (polytope, characteristic matrix) pair."""
 
-    valid: bool
-    column_primitivity: dict      # facet -> bool
-    vertex_determinants: dict     # sorted facet tuple -> int
-    face_minor_gcds: dict         # sorted facet tuple -> int (faces of codim < n)
-    failures: list = field(default_factory=list)
+    __slots__ = ("valid", "column_primitivity", "vertex_determinants",
+                 "face_minor_gcds", "failures")
+
+    def __init__(self, valid: bool, column_primitivity: dict, vertex_determinants: dict,
+                 face_minor_gcds: dict, failures: list | None = None):
+        self.valid = valid
+        self.column_primitivity = column_primitivity    # facet -> bool
+        self.vertex_determinants = vertex_determinants  # sorted facet tuple -> int
+        # sorted facet tuple -> int (faces of codim < n)
+        self.face_minor_gcds = face_minor_gcds
+        self.failures = [] if failures is None else failures
 
 
 def validate_characteristic_pair(p, lam):
@@ -117,14 +121,15 @@ def solved_form(p, lam):
     return anchor, inv, dict(zip(anchor, intlat.mat_mul(inv, lam.rows())))
 
 
-@dataclass(frozen=True)
 class QuaternionicIsotropyFunctor:
     """Per-facet coordinate label sets inside an acting universe 1..n_act."""
 
-    n_act: int
-    facet_labels: tuple  # tuple of frozensets, index i-1 is the label of facet i
+    __slots__ = ("n_act", "facet_labels")
 
-    def __post_init__(self):
+    def __init__(self, n_act: int, facet_labels: tuple):
+        self.n_act = n_act
+        # a tuple of frozensets, index i-1 is the label of facet i
+        self.facet_labels = facet_labels
         if self.n_act <= 0:
             raise ValidationError("n_act must be positive")
         for i, gamma in enumerate(self.facet_labels, start=1):
@@ -142,12 +147,15 @@ def isotropy_functor(n_act, labels):
     return QuaternionicIsotropyFunctor(n_act, tuple(frozenset(g) for g in labels))
 
 
-@dataclass
 class FunctorReport:
-    valid: bool
-    disjoint_at_faces: bool
-    injective_on_faces: bool
-    failures: list = field(default_factory=list)
+    __slots__ = ("valid", "disjoint_at_faces", "injective_on_faces", "failures")
+
+    def __init__(self, valid: bool, disjoint_at_faces: bool, injective_on_faces: bool,
+                 failures: list | None = None):
+        self.valid = valid
+        self.disjoint_at_faces = disjoint_at_faces
+        self.injective_on_faces = injective_on_faces
+        self.failures = [] if failures is None else failures
 
 
 def _face_class(f, face):

@@ -14,7 +14,6 @@ exactly equivalence up to reparametrizing the kernel torus.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import intlat
 from .charpair import from_columns, solved_form, validate_quaternionic_functor
@@ -28,7 +27,6 @@ LEVEL_PRIMARY_DISTINCT = "primary-distinct"
 LEVEL_INCOMPARABLE = "incomparable"
 
 
-@dataclass
 class EquivalenceCertificate:
     """Witness that lam2 = delta . lam . P_sigma . D_signs.
 
@@ -38,9 +36,12 @@ class EquivalenceCertificate:
     whole proof: no kernel-bundle recheck is run on it.
     """
 
-    delta: list   # unimodular n x n
-    sigma: tuple  # facet bijection, 1-based images
-    signs: tuple  # entries +-1, per facet of the first pair
+    __slots__ = ("delta", "sigma", "signs")
+
+    def __init__(self, delta: list, sigma: tuple, signs: tuple):
+        self.delta = delta  # unimodular n x n
+        self.sigma = sigma  # facet bijection, 1-based images
+        self.signs = signs  # entries +-1, per facet of the first pair
 
     def apply(self, lam):
         """Transform lam by this certificate, returning the target columns."""
@@ -62,11 +63,14 @@ class EquivalenceCertificate:
         return EquivalenceCertificate(delta_inv, tuple(sigma_inv), tuple(signs_inv))
 
 
-@dataclass
 class RigidityVerdict:
-    level: str
-    certificate: EquivalenceCertificate = None
-    bundle_report: dict = field(default_factory=dict)
+    __slots__ = ("level", "certificate", "bundle_report")
+
+    def __init__(self, level: str, certificate: EquivalenceCertificate | None = None,
+                 bundle_report: dict | None = None):
+        self.level = level
+        self.certificate = certificate
+        self.bundle_report = {} if bundle_report is None else bundle_report
 
 
 def _solve_signs(n1, n2):
@@ -224,7 +228,8 @@ def rigidity_verdict_complex(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
         return RigidityVerdict(LEVEL_EQUIVALENT, certificate=cert,
                                bundle_report={"equal_sublattice": True})
     k1, k2 = dual_complex(p), dual_complex(p2)
-    comparable = k1 == k2 or next(_isomorphism_search(k1, k2, bound), None) is not None
+    comparable = (k1.maximal_faces == k2.maximal_faces
+                  or next(_isomorphism_search(k1, k2, bound), None) is not None)
     return RigidityVerdict(LEVEL_INEQUIVALENT if comparable else LEVEL_INCOMPARABLE,
                            bundle_report={"equal_sublattice": False})
 

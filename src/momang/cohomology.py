@@ -11,7 +11,6 @@ eliminates the generators of its anchor vertex, so that all
 coefficients stay integral.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -50,7 +49,6 @@ def poly_degree_parts(a):
     return parts
 
 
-@dataclass
 class GradedRingPresentation:
     """Face ring of a complex, optionally with the linear relations solved out.
 
@@ -61,15 +59,23 @@ class GradedRingPresentation:
     `ideal` holds the (substituted) minimal non-face products.
     """
 
-    m: int
-    generator_degree: int
-    non_faces: list                      # minimal non-faces as sorted tuples
-    linear_relations: list = field(default_factory=list)  # rows of the matrix
-    kept: list = field(default_factory=list)              # 1-based facet indices
-    eliminated: dict = field(default_factory=dict)        # facet -> linear poly
-    ideal: list = field(default_factory=list)             # polys in kept gens
-    base_dim: int = 0
-    _components: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("m", "generator_degree", "non_faces", "linear_relations", "kept",
+                 "eliminated", "ideal", "base_dim", "_components")
+
+    def __init__(self, m: int, generator_degree: int, non_faces: list,
+                 linear_relations: list | None = None, kept: list | None = None,
+                 eliminated: dict | None = None, ideal: list | None = None,
+                 base_dim: int = 0):
+        self.m = m
+        self.generator_degree = generator_degree
+        self.non_faces = non_faces  # minimal non-faces as sorted tuples
+        # rows of the matrix
+        self.linear_relations = [] if linear_relations is None else linear_relations
+        self.kept = [] if kept is None else kept                    # 1-based facet indices
+        self.eliminated = {} if eliminated is None else eliminated  # facet -> linear poly
+        self.ideal = [] if ideal is None else ideal                 # polys in kept gens
+        self.base_dim = base_dim
+        self._components = {}
 
     def generator_poly(self, i):
         """v_i as a polynomial in the kept generators (1-based facet index)."""
@@ -85,24 +91,30 @@ class GradedRingPresentation:
         return self._components[degree]
 
 
-@dataclass
 class CohomologyClass:
     """A reduced class: integer coordinates over the component's monomial basis."""
 
-    degree: int
-    coordinates: tuple
+    __slots__ = ("degree", "coordinates")
+
+    def __init__(self, degree: int, coordinates: tuple):
+        self.degree = degree
+        self.coordinates = coordinates
 
     def is_zero(self):
         return not any(self.coordinates)
 
 
-@dataclass
 class GradedComponent:
-    degree: int
-    monomials: list            # spanning monomials, graded-lex order
-    invariants: intlat.AbelianGroupInvariants
-    basis_monomials: list      # monomials whose classes form a Z-basis
-    table: list = field(repr=False)  # monomial vector -> basis coordinates
+    __slots__ = ("degree", "monomials", "invariants", "basis_monomials", "table")
+
+    def __init__(self, degree: int, monomials: list,
+                 invariants: intlat.AbelianGroupInvariants, basis_monomials: list,
+                 table: list):
+        self.degree = degree
+        self.monomials = monomials              # spanning monomials, graded-lex order
+        self.invariants = invariants
+        self.basis_monomials = basis_monomials  # monomials whose classes form a Z-basis
+        self.table = table                      # monomial vector -> basis coordinates
 
     def coordinates_over_basis(self, vec):
         """Express the class of vec over the chosen monomial basis."""

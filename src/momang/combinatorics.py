@@ -5,7 +5,6 @@ vertices and facets; all constructions downstream depend only on the
 face lattice.  Facets are indexed 1..m throughout.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetError, ValidationError
@@ -13,14 +12,14 @@ from .errors import BudgetError, ValidationError
 DEFAULT_SEARCH_BOUND = 12
 
 
-@dataclass(frozen=True)
 class SimplicialComplexData:
     """A simplicial complex given by its maximal faces on vertices 1..m."""
 
-    vertex_count: int
-    maximal_faces: frozenset  # frozenset of frozensets of ints
+    __slots__ = ("vertex_count", "maximal_faces")
 
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, maximal_faces: frozenset):
+        self.vertex_count = vertex_count
+        self.maximal_faces = maximal_faces  # frozenset of frozensets of ints
         m = self.vertex_count
         if m <= 0:
             raise ValidationError("vertex_count must be positive")
@@ -61,15 +60,20 @@ def simplicial_complex(m, maximal_faces):
     return SimplicialComplexData(m, frozenset(frozenset(f) for f in maximal_faces))
 
 
-@dataclass(frozen=True)
 class SimplePolytopeData:
-    """A simple polytope, each vertex recorded as the set of facets through it."""
+    """A simple polytope, each vertex recorded as the set of facets through it.
 
-    facet_count: int
-    dim: int
-    vertices: tuple  # tuple of frozensets of ints
+    `dual_complex` keeps the complex it builds in `_dual`, so the record
+    is not to be changed after construction.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("facet_count", "dim", "vertices", "_dual")
+
+    def __init__(self, facet_count: int, dim: int, vertices: tuple):
+        self.facet_count = facet_count
+        self.dim = dim
+        self.vertices = vertices  # tuple of frozensets of ints
+        self._dual = None
         m, n = self.facet_count, self.dim
         if m <= 0 or n <= 0:
             raise ValidationError("facet_count and dim must be positive")
@@ -141,8 +145,11 @@ def _check_connected(p):
 
 
 def dual_complex(p):
-    """The nerve complex of the polytope: faces are facet sets with a common vertex."""
-    return SimplicialComplexData(p.facet_count, frozenset(p.vertices))
+    """The nerve complex of the polytope: faces are facet sets with a common
+    vertex.  Built on the first call and the same object on every later one."""
+    if p._dual is None:
+        p._dual = SimplicialComplexData(p.facet_count, frozenset(p.vertices))
+    return p._dual
 
 
 def enumerate_faces(k):

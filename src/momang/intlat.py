@@ -7,7 +7,6 @@ anywhere (normal-form pivots can blow up intermediate values well past
 machine range).
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -69,7 +68,6 @@ def det(mat):
     return sign * a[n - 1][n - 1]
 
 
-@dataclass
 class SmithDecomposition:
     """U @ source @ V = D with U, V unimodular and D a divisibility-chain diagonal.
 
@@ -77,9 +75,12 @@ class SmithDecomposition:
     for that transform (u=False or v=False there); `d` is always built.
     """
 
-    u: Matrix | None
-    d: Matrix
-    v: Matrix | None
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: Matrix | None, d: Matrix, v: Matrix | None):
+        self.u = u
+        self.d = d
+        self.v = v
 
     def diagonal(self):
         return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
@@ -91,12 +92,14 @@ class SmithDecomposition:
         return len(self.invariant_factors())
 
 
-@dataclass
 class AbelianGroupInvariants:
     """A finitely generated abelian group: Z^free_rank + sum of Z/t cyclic parts."""
 
-    free_rank: int
-    torsion: list = field(default_factory=list)
+    __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: list | None = None):
+        self.free_rank = free_rank
+        self.torsion = [] if torsion is None else torsion
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion

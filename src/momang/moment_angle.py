@@ -12,7 +12,6 @@ every block and differ only in the shift.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from .combinatorics import enumerate_faces
@@ -43,7 +42,6 @@ def dimension(k, flavor, n):
     return n + _sphere_dim(flavor) * k.vertex_count
 
 
-@dataclass
 class DimensionReport:
     """Quaternionic dimension bookkeeping, flagging the additive shortcut.
 
@@ -52,10 +50,13 @@ class DimensionReport:
     surfaces the mismatch so callers cannot silently conflate the two.
     """
 
-    flavor: str
-    value: int
-    m_plus_n: int
-    differs_from_m_plus_n: bool
+    __slots__ = ("flavor", "value", "m_plus_n", "differs_from_m_plus_n")
+
+    def __init__(self, flavor: str, value: int, m_plus_n: int, differs_from_m_plus_n: bool):
+        self.flavor = flavor
+        self.value = value
+        self.m_plus_n = m_plus_n
+        self.differs_from_m_plus_n = differs_from_m_plus_n
 
 
 def dimension_report(k, flavor, n):
@@ -64,10 +65,12 @@ def dimension_report(k, flavor, n):
     return DimensionReport(flavor, value, naive, value != naive)
 
 
-@dataclass
 class HomologyProfile:
-    groups: dict  # degree -> AbelianGroupInvariants, degrees 0..top
-    euler_characteristic: int
+    __slots__ = ("groups", "euler_characteristic")
+
+    def __init__(self, groups: dict, euler_characteristic: int):
+        self.groups = groups  # degree -> AbelianGroupInvariants, degrees 0..top
+        self.euler_characteristic = euler_characteristic
 
     def rank(self, degree):
         g = self.groups.get(degree)

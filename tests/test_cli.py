@@ -516,16 +516,30 @@ def test_text_format(capsys):
     assert "euler_characteristic: 0" in out
 
 
-def alone(*argv):
-    # one `main` call in a fresh interpreter: the parser is built for it alone
+def fresh(code, *argv):
+    """Run `code` with `argv` in a fresh interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from momang import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, env=env, check=False)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def alone(*argv):
+    # one `main` call in a fresh interpreter: the parser is built for it alone
+    proc = fresh("import sys; from momang import cli; sys.exit(cli.main(sys.argv[1:]))",
+                 *argv)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_loads_no_code_generation_modules():
+    # dataclasses and the modules it loads (inspect, ast, dis) cost a
+    # third of a start-up; nothing in momang needs them
+    proc = fresh("import sys, momang, momang.cli; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "momang.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis"})
 
 
 def test_parser_is_built_once_and_shared():

@@ -39,6 +39,14 @@ def test_polytope_rejects_unused_facet():
         comb.simple_polytope(3, 1, [[1], [2]])
 
 
+def test_dual_complex_is_built_once_per_polytope():
+    p = cube()
+    k = comb.dual_complex(p)
+    assert comb.dual_complex(p) is k
+    assert k.maximal_faces == frozenset(p.vertices)
+    assert comb.dual_complex(cube()) is not k
+
+
 def test_polytope_rejects_repeated_vertex():
     with pytest.raises(ValidationError, match="repeated"):
         comb.simple_polytope(2, 1, [[1], [1], [2]])
