@@ -227,9 +227,8 @@ def rigidity_verdict_complex(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     if cert is not None:
         return RigidityVerdict(LEVEL_EQUIVALENT, certificate=cert,
                                bundle_report={"equal_sublattice": True})
-    k1, k2 = dual_complex(p), dual_complex(p2)
-    comparable = (k1.maximal_faces == k2.maximal_faces
-                  or next(_isomorphism_search(k1, k2, bound), None) is not None)
+    search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound)
+    comparable = next(search, None) is not None
     return RigidityVerdict(LEVEL_INEQUIVALENT if comparable else LEVEL_INCOMPARABLE,
                            bundle_report={"equal_sublattice": False})
 

@@ -13,13 +13,16 @@ DEFAULT_SEARCH_BOUND = 12
 
 
 class SimplicialComplexData:
-    """A simplicial complex given by its maximal faces on vertices 1..m."""
+    """A simplicial complex given by its maximal faces on vertices 1..m;
+    `minimal_non_faces` keeps its list in `_non_faces`, so the record is
+    not to be changed after construction."""
 
-    __slots__ = ("vertex_count", "maximal_faces")
+    __slots__ = ("vertex_count", "maximal_faces", "_non_faces")
 
     def __init__(self, vertex_count: int, maximal_faces: frozenset):
         self.vertex_count = vertex_count
         self.maximal_faces = maximal_faces  # frozenset of frozensets of ints
+        self._non_faces = None
         m = self.vertex_count
         if m <= 0:
             raise ValidationError("vertex_count must be positive")
@@ -174,76 +177,72 @@ def enumerate_faces(k):
 
 def minimal_non_faces(k):
     """Inclusion-minimal subsets of 1..m that are not faces, by size and then
-    lexicographically.  Removing a vertex from one leaves a face, so none
-    has more than dimension + 2 vertices."""
-    m = k.vertex_count
-    faces = {f for level in enumerate_faces(k) for f in level}
-    result = []
-    for size in range(1, min(m, k.dimension() + 2) + 1):
-        for subset in combinations(range(1, m + 1), size):
-            if subset in faces:
-                continue
-            if all(sub in faces for sub in combinations(subset, size - 1)):
-                result.append(subset)
-    return result
-
-
-def _vertex_data(k):
-    """Per vertex: sorted sizes of the maximal faces through it, and its
-    neighbours (the other vertices of those faces)."""
-    through = {v: [f for f in k.maximal_faces if v in f]
-               for v in range(1, k.vertex_count + 1)}
-    return ({v: tuple(sorted(map(len, fs))) for v, fs in through.items()},
-            {v: set().union(*fs) - {v} for v, fs in through.items()})
+    lexicographically; built on the first call, the same list on later ones.
+    Each is a face plus one vertex above the face's largest, and the faces
+    are the subsets of the maximal faces, as bit masks (vertex i at bit i)."""
+    if k._non_faces is None:
+        faces = set()
+        for top in k.maximal_faces:
+            subs = [0]
+            for i in top:
+                subs += [s | 1 << i for s in subs]
+            faces.update(subs)
+        faces.discard(0)  # every vertex is a face, so no non-face has one vertex
+        found = []
+        for f in faces:
+            for v in range(f.bit_length(), k.vertex_count + 1):
+                g = f | 1 << v
+                if g in faces:
+                    continue
+                rest = f  # minimal iff g less any vertex of f is a face (g less v is f)
+                while rest and g ^ (rest & -rest) in faces:
+                    rest &= rest - 1
+                if not rest:
+                    found.append(tuple(i for i in range(1, v + 1) if g >> i & 1))
+        k._non_faces = sorted(found, key=lambda t: (len(t), t))
+    return k._non_faces
 
 
 def _isomorphism_search(k1, k2, bound, admit=None):
     """Iterator over `isomorphisms(k1, k2)`, by backtracking over vertex
     images in increasing order; the budget is checked before any node.
 
-    A candidate image must match the vertex's signature and keep
-    adjacency and non-adjacency with every vertex already placed (an
-    isomorphism maps the 1-skeleton onto the 1-skeleton); placing vertex
-    v then checks the maximal faces whose largest vertex is v.  Last, a
-    caller's `admit(v, image)` may reject extending the current partial
-    bijection by v -> image.
+    A bijection is an isomorphism iff it carries the minimal non-faces of
+    k1 onto those of k2.  So placing v -> c checks that each one of k1
+    whose largest vertex is v maps onto one of k2, and that no other one
+    of k2 through c lies inside the images (equal counts), so that each of
+    those pulls back onto one of k1.  Last, a caller's `admit(v, c)` may
+    reject that extension.
     """
     m = k1.vertex_count
     if m > bound:
         raise BudgetError(f"automorphism search limited to {bound} vertices, got {m}", bound)
-    sizes1 = sorted(len(f) for f in k1.maximal_faces)
-    sizes2 = sorted(len(f) for f in k2.maximal_faces)
-    if k2.vertex_count != m or sizes1 != sizes2:
+    nf1, nf2 = minimal_non_faces(k1), minimal_non_faces(k2)
+    if k2.vertex_count != m or list(map(len, nf1)) != list(map(len, nf2)):
         return iter(())
-    sig1, adj1 = _vertex_data(k1)
-    sig2, adj2 = _vertex_data(k2)
-    closing = {v: [] for v in sig1}  # largest vertex -> maximal faces of k1
-    for f in k1.maximal_faces:
-        closing[max(f)].append(tuple(f))
-    target_faces = k2.maximal_faces
-    image = [0] * (m + 1)  # 1-based
-    used = set()
+    masks = [sum(1 << c for c in g) for g in nf2]
+    closing = [[f for f in nf1 if f[-1] == v] for v in range(m + 1)]
+    through = [[g for g in masks if g >> c & 1] for c in range(m + 1)]
+    targets = set(masks)
+    image = [0] * (m + 1)  # 1-based; read only at a leaf
+    bit = [0] * (m + 1)  # bit[v] == 1 << image[v]
 
-    def extend(vertex):
+    def extend(vertex, placed):  # placed: mask of the images so far
         if vertex > m:
             yield tuple(image[1:])
             return
+        closed = closing[vertex]
         for cand in range(1, m + 1):
-            if cand in used or sig2[cand] != sig1[vertex]:
+            now = placed | 1 << cand
+            if now == placed:  # cand is an image already
                 continue
-            if any((image[w] in adj2[cand]) != (w in adj1[vertex])
-                   for w in range(1, vertex)):
-                continue
-            image[vertex] = cand
-            if (all(frozenset(map(image.__getitem__, f)) in target_faces
-                    for f in closing[vertex])
+            image[vertex], bit[vertex] = cand, 1 << cand
+            if (all(sum(map(bit.__getitem__, f)) in targets for f in closed)
+                    and len([g for g in through[cand] if g & now == g]) == len(closed)
                     and (admit is None or admit(vertex, cand))):
-                used.add(cand)
-                yield from extend(vertex + 1)
-                used.discard(cand)
-        image[vertex] = 0
+                yield from extend(vertex + 1, now)
 
-    return extend(1)
+    return extend(1, 0)
 
 
 def isomorphisms(k1, k2, bound=DEFAULT_SEARCH_BOUND):

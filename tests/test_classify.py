@@ -240,6 +240,8 @@ PAIR_FAMILIES = {
     "square": (pairgen.cube(2), lambda r: pairgen.staged_columns(r, [1, 1], twist=3)),
     "prism": (pairgen.simplex_product([1, 2]),
               lambda r: pairgen.staged_columns(r, [1, 2])),
+    "d1xd3": (pairgen.simplex_product([1, 3]),
+              lambda r: pairgen.staged_columns(r, [1, 3])),
     "d2xd2": (pairgen.simplex_product([2, 2]),
               lambda r: pairgen.staged_columns(r, [2, 2])),
     "3-cube": (pairgen.cube(3), lambda r: pairgen.staged_columns(r, [1, 1, 1])),

@@ -451,6 +451,20 @@ def test_compare_quaternionic_large_universe(capsys, tmp_path):
     assert json.loads(out)["bundle"]["functors_match"] is True
 
 
+def pair_body(poly, cols):
+    return {"polytope": {"m": poly.facet_count, "n": poly.dim,
+                         "vertices": [sorted(v) for v in poly.vertices]},
+            "characteristic": {"n": poly.dim, "m": poly.facet_count, "columns": cols}}
+
+
+def assert_certificate_carries(out, cols1, cols2):
+    cert = json.loads(out)["certificate"]
+    lam = cli.parse_characteristic({"columns": cols1})
+    applied = classify.EquivalenceCertificate(
+        cert["delta"], tuple(cert["sigma"]), tuple(cert["signs"])).apply(lam)
+    assert applied.rows() == cli.parse_characteristic({"columns": cols2}).rows()
+
+
 def cube_pair_files(tmp_path, n, seed, equivalent, twist=2):
     """A Bott tower over the n-cube and a disguised copy of it, or of a
     tower with a different |minor| multiset; twist=0 is the untwisted
@@ -466,15 +480,9 @@ def cube_pair_files(tmp_path, n, seed, equivalent, twist=2):
     while not equivalent and minors(second) == minors(first):
         second = pairgen.staged_columns(rng, [1] * n, twist)
     q, lam2 = pairgen.disguise(rng, p, second)
-
-    def body(poly, cols):
-        return {"polytope": {"m": poly.facet_count, "n": n,
-                             "vertices": [sorted(v) for v in poly.vertices]},
-                "characteristic": {"n": n, "m": poly.facet_count, "columns": cols}}
-
     cols2 = [lam2.column(i) for i in range(1, lam2.m + 1)]
-    return (write_json(tmp_path, "a.json", body(p, first)),
-            write_json(tmp_path, "b.json", body(q, cols2)), first, cols2)
+    return (write_json(tmp_path, "a.json", pair_body(p, first)),
+            write_json(tmp_path, "b.json", pair_body(q, cols2)), first, cols2)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -491,11 +499,29 @@ def test_compare_cubes_inside_the_default_budget(capsys, tmp_path, n):
         for second, target in ((b, cols2), (a, cols1)):
             code, out, err = run(capsys, "compare", a, second)
             assert code == 0, err
-            cert = json.loads(out)["certificate"]
-            lam = cli.parse_characteristic({"columns": cols1})
-            applied = classify.EquivalenceCertificate(
-                cert["delta"], tuple(cert["sigma"]), tuple(cert["signs"])).apply(lam)
-            assert applied.rows() == cli.parse_characteristic({"columns": target}).rows()
+            assert_certificate_carries(out, cols1, target)
+
+
+@pytest.mark.parametrize("dims", [[3, 3, 3], [2, 2, 2, 2]])
+def test_compare_simplex_product_towers_inside_the_default_budget(capsys, tmp_path, dims):
+    # generalized Bott towers over m = 12 simplex products, where every two
+    # facets are adjacent: even trials against an independent tower, odd
+    # ones against a copy, each disguised
+    rng = random.Random(str(dims))
+    p = pairgen.simplex_product(dims)
+    for trial in range(6):
+        cols = pairgen.staged_columns(rng, dims, twist=1)
+        other = cols if trial % 2 else pairgen.staged_columns(rng, dims, twist=1)
+        q, lam2 = pairgen.disguise(rng, p, other)
+        cols2 = [lam2.column(i) for i in range(1, lam2.m + 1)]
+        a = write_json(tmp_path, "a.json", pair_body(p, cols))
+        b = write_json(tmp_path, "b.json", pair_body(q, cols2))
+        code, out, err = run(capsys, "compare", a, b)
+        assert code == (0 if trial % 2 else 3), (trial, err)
+        if trial % 2:
+            assert_certificate_carries(out, cols, cols2)
+        else:
+            assert json.loads(out)["level"] == "inequivalent"
 
 
 def test_compare_mixed_flavors(capsys):

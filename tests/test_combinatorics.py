@@ -6,6 +6,7 @@ import pytest
 
 import pairgen
 from momang import combinatorics as comb
+from momang.cohomology import quasitoric_presentation
 from momang.errors import BudgetError, ValidationError
 
 
@@ -122,6 +123,39 @@ def test_minimal_non_faces_match_the_unbounded_scan():
         assert comb.minimal_non_faces(k) == unbounded_minimal_non_faces(k)
 
 
+def reference_minimal_non_faces(k):
+    """The seed scan: every vertex subset of at most dimension + 2 vertices
+    that is not a face while each of its facets is."""
+    m = k.vertex_count
+    faces = {f for level in comb.enumerate_faces(k) for f in level}
+    return [s for size in range(1, min(m, k.dimension() + 2) + 1)
+            for s in combinations(range(1, m + 1), size)
+            if s not in faces and all(t in faces for t in combinations(s, size - 1))]
+
+
+M12_PRODUCTS = ([11], [1, 9], [5, 5], [2, 3, 4], [3, 3, 3], [2, 2, 2, 2])
+
+
+def test_minimal_non_faces_match_the_subset_scan_and_are_kept():
+    rng = random.Random("subset scan")
+    polytopes = [pairgen.polygon(m) for m in range(3, 13)]
+    polytopes += [pairgen.cube(n) for n in range(2, 7)]
+    polytopes += [pairgen.simplex_product(dims) for dims in M12_PRODUCTS]
+    complexes = [comb.dual_complex(p) for p in polytopes]
+    complexes += [pairgen.random_complex(rng, rng.randint(3, 9)) for _ in range(30)]
+    complexes += [pairgen.random_flag_complex(rng, rng.randint(3, 9)) for _ in range(30)]
+    for k in complexes:
+        nf = comb.minimal_non_faces(k)
+        assert nf == reference_minimal_non_faces(k), sorted(map(sorted, k.maximal_faces))
+        assert comb.minimal_non_faces(k) is nf
+
+
+def test_quasitoric_presentation_reads_the_kept_non_faces():
+    for p, lam in pairgen.seeded_pairs():
+        assert (quasitoric_presentation(p, lam).non_faces
+                is comb.minimal_non_faces(comb.dual_complex(p)))
+
+
 def test_automorphisms_square_is_dihedral():
     k = comb.dual_complex(square())
     autos = comb.automorphisms(k)
@@ -204,8 +238,9 @@ def test_isomorphisms_match_the_seed_search_in_order():
     named = [comb.dual_complex(p) for p in (
         pairgen.polygon(10), pairgen.polygon(12), pairgen.cube(3), pairgen.cube(4),
         pairgen.simplex_product([1, 2]), pairgen.simplex_product([2, 2]),
-        pairgen.simplex_product([1, 1, 2]))]
+        pairgen.simplex_product([1, 3]), pairgen.simplex_product([1, 1, 2]))]
     randoms = [pairgen.random_complex(rng, rng.randint(3, 8)) for _ in range(20)]
+    randoms += [pairgen.random_flag_complex(rng, rng.randint(3, 8)) for _ in range(20)]
     total = 0
     for k in named + randoms:
         perm = list(range(1, k.vertex_count + 1))
@@ -217,3 +252,23 @@ def test_isomorphisms_match_the_seed_search_in_order():
     assert len(comb.automorphisms(comb.dual_complex(pairgen.cube(4)))) == 384
     assert total > 1000
 
+
+@pytest.mark.parametrize("dims", [[5, 5], [3, 3, 3], [2, 2, 2, 2]])
+def test_first_isomorphism_onto_a_relabelled_simplex_product(dims):
+    # m = 12, inside the default bound; |Aut| is 1 036 800, 82 944 and 31 104
+    rng = random.Random(str(dims))
+    k = comb.dual_complex(pairgen.simplex_product(dims))
+    perm = list(range(1, 13))
+    rng.shuffle(perm)
+    k2 = pairgen.relabel_complex(k, perm)
+    hit = next(comb._isomorphism_search(k, k2, comb.DEFAULT_SEARCH_BOUND))
+    assert sorted(hit) == list(range(1, 13))
+    for f in k.maximal_faces:
+        assert frozenset(hit[i - 1] for i in f) in k2.maximal_faces
+
+
+def test_simplex_products_of_other_factors_have_no_isomorphism():
+    # m = 12 and n = 9 on both sides
+    k1 = comb.dual_complex(pairgen.simplex_product([2, 3, 4]))
+    k2 = comb.dual_complex(pairgen.simplex_product([3, 3, 3]))
+    assert next(comb._isomorphism_search(k1, k2, comb.DEFAULT_SEARCH_BOUND), None) is None
