@@ -66,6 +66,12 @@ class PairReport:
         self.failures = [] if failures is None else failures
 
 
+def _check_shape(p, lam):
+    if lam.m != p.facet_count or lam.n != p.dim:
+        raise ShapeError(
+            f"matrix is {lam.n}x{lam.m} but polytope has n={p.dim}, m={p.facet_count}")
+
+
 def validate_characteristic_pair(p, lam):
     """Check the nonsingularity condition of the pair at its vertices.
 
@@ -77,9 +83,7 @@ def validate_characteristic_pair(p, lam):
     computed, to say why the pair fails; a column is primitive iff its
     one-facet face has gcd 1.
     """
-    if lam.m != p.facet_count or lam.n != p.dim:
-        raise ShapeError(
-            f"matrix is {lam.n}x{lam.m} but polytope has n={p.dim}, m={p.facet_count}")
+    _check_shape(p, lam)
     faces = enumerate_faces(dual_complex(p))
     vertex_dets = {v: intlat.det(lam.columns(v)) for v in faces[-1]}
     in_basis = {f for v, d in vertex_dets.items() if abs(d) == 1
@@ -107,15 +111,15 @@ def validate_characteristic_pair(p, lam):
 
 
 def solved_form(p, lam):
-    """Validate the pair and solve it at its anchor vertex.
-
-    The anchor is the lexicographically first vertex, unimodular since
-    the pair is valid.  Returns the anchor as a sorted tuple, the inverse
-    of its columns M, and N = M^-1.lam as an anchor facet -> row dict.
+    """Validate the pair by its vertex determinants alone (the report only
+    words a failure) and solve it at its anchor, the lexicographically
+    first vertex.  Returns the anchor as a sorted tuple, the inverse of
+    its columns M, and N = M^-1.lam as an anchor facet -> row dict.
     """
-    report = validate_characteristic_pair(p, lam)
-    if not report.valid:
-        raise ValidationError("invalid pair: " + "; ".join(report.failures))
+    _check_shape(p, lam)
+    if any(abs(intlat.det(lam.columns(v))) != 1 for v in p.vertices):
+        failures = validate_characteristic_pair(p, lam).failures
+        raise ValidationError("invalid pair: " + "; ".join(failures))
     anchor = min(tuple(sorted(v)) for v in p.vertices)
     inv = intlat.inverse_unimodular(lam.columns(anchor))
     return anchor, inv, dict(zip(anchor, intlat.mat_mul(inv, lam.rows())))

@@ -96,8 +96,7 @@ class SimplePolytopeData:
         if covered != set(range(1, m + 1)):
             missing = sorted(set(range(1, m + 1)) - covered)
             raise ValidationError(f"facets {missing} contain no vertex")
-        _check_pseudomanifold(self)
-        _check_connected(self)
+        _check_connected(self, _check_pseudomanifold(self))
 
     @property
     def m(self):
@@ -114,36 +113,30 @@ def simple_polytope(m, n, vertices):
 
 def _check_pseudomanifold(p):
     # every ridge ((n-2)-face of the dual, i.e. (n-1)-subset of a vertex set)
-    # must lie in exactly two vertex sets
-    n = p.dim
-    counts = {}
+    # must lie in exactly two vertex sets; returns those pairs
+    by_ridge = {}
     for v in p.vertices:
-        for ridge in combinations(sorted(v), n - 1):
-            counts[ridge] = counts.get(ridge, 0) + 1
-    for ridge, c in counts.items():
-        if c != 2:
+        for ridge in combinations(sorted(v), p.dim - 1):
+            by_ridge.setdefault(ridge, []).append(v)
+    for ridge, verts in by_ridge.items():
+        if len(verts) != 2:
             raise ValidationError(
-                f"ridge {list(ridge)} lies in {c} maximal faces, expected 2")
+                f"ridge {list(ridge)} lies in {len(verts)} maximal faces, expected 2")
+    return by_ridge.values()
 
 
-def _check_connected(p):
-    verts = list(p.vertices)
-    n = p.dim
-    if len(verts) == 1:
-        return
-    adj = {i: set() for i in range(len(verts))}
-    for i, j in combinations(range(len(verts)), 2):
-        if len(verts[i] & verts[j]) == n - 1:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {0}
-    stack = [0]
+def _check_connected(p, ridge_pairs):
+    # two vertices are adjacent iff they share a ridge
+    adj = {v: [] for v in p.vertices}
+    for a, b in ridge_pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, stack = {p.vertices[0]}, [p.vertices[0]]
     while stack:
-        cur = stack.pop()
-        for nxt in adj[cur] - seen:
-            seen.add(nxt)
-            stack.append(nxt)
-    if len(seen) != len(verts):
+        new = [w for w in adj[stack.pop()] if w not in seen]
+        seen.update(new)
+        stack += new
+    if len(seen) != len(p.vertices):
         raise ValidationError("dual complex is not connected")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import pairgen
 from momang import charpair, intlat
+from momang import combinatorics as comb
 from momang.combinatorics import simple_polytope
 from momang.errors import ShapeError, ValidationError
 
@@ -85,6 +86,8 @@ def test_lower_face_gcd_reported():
 def test_shape_mismatch():
     with pytest.raises(ShapeError):
         charpair.validate_characteristic_pair(square(), projective_matrix(2))
+    with pytest.raises(ShapeError, match=r"^matrix is 2x3 but polytope has n=2, m=4$"):
+        charpair.solved_form(square(), projective_matrix(2))
 
 
 def test_functor_construction_guards():
@@ -284,6 +287,22 @@ def test_validator_matches_the_face_walk_on_mutants():
         seen["every vertex fails"] += all(
             abs(d) != 1 for d in want.vertex_determinants.values())
     assert all(seen.values()), seen
+
+
+def test_solved_form_of_a_valid_pair_walks_no_faces(monkeypatch):
+    # the vertex determinants decide a valid pair: no report, no face list
+    pairs = [(p, charpair.from_columns(cols)) for p, cols in valid_pairs(random.Random(8))]
+    want = [charpair.solved_form(p, lam) for p, lam in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("a valid pair walked the faces")
+    monkeypatch.setattr(charpair, "validate_characteristic_pair", forbidden)
+    monkeypatch.setattr(charpair, "enumerate_faces", forbidden)
+    monkeypatch.setattr(comb, "enumerate_faces", forbidden)
+    assert [charpair.solved_form(p, lam) for p, lam in pairs] == want
+    # an invalid pair still builds the report, to word its failures
+    with pytest.raises(AssertionError, match="walked the faces"):
+        charpair.solved_form(square(), charpair.from_columns([[2, 0], [0, 1], [-1, 1], [0, -1]]))
 
 
 def random_functor(rng, m):

@@ -30,6 +30,7 @@ HIRZEBRUCH_1 = {
     "characteristic": {"n": 2, "m": 4,
                        "columns": [[1, 0], [0, 1], [-1, 1], [0, -1]]},
 }
+HIRZEBRUCH_1_COLUMNS = HIRZEBRUCH_1["characteristic"]["columns"]
 
 
 def test_examples_lists_corpus(capsys):
@@ -293,6 +294,66 @@ def test_validate_output_of_failing_pairs_is_pinned(capsys, tmp_path, monkeypatc
         write_json(tmp_path, want["file"], body)
         code, out, err = run(capsys, "validate", want["file"])
         assert (code, out, err) == (want["code"], want["stdout"], want["stderr"])
+
+
+def invalid_pairs(tmp_path):
+    """(bad, good, failures): the three square pairs of validate_failures.json
+    with their recorded failures, and seeded towers with one column scaled
+    by 2 or 3, so the vertices through that facet have determinant +-2 or
+    +-3, with the failures `validate` gives; each beside a valid pair over
+    the same polytope."""
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "validate_failures.json")) as fh:
+        recorded = json.load(fh)
+    square = pairgen.polygon(4)
+    good = write_json(tmp_path, "square.json", pair_body(square, HIRZEBRUCH_1_COLUMNS))
+    for want in recorded:
+        bad = write_json(tmp_path, want["file"], pair_body(square, want["columns"]))
+        yield bad, good, json.loads(want["stdout"])["pair"]["failures"]
+    rng = random.Random("invalid towers")
+    for k, dims in enumerate(([1, 1], [1, 1, 1], [1, 2], [2, 1], [2, 2], [1, 1, 2], [3])):
+        p = pairgen.simplex_product(dims)
+        cols = pairgen.staged_columns(rng, dims)
+        scale = rng.choice((-3, -2, 2, 3))
+        facet = rng.randrange(len(cols))
+        scaled = [[scale * x for x in col] if i == facet else col
+                  for i, col in enumerate(cols)]
+        good = write_json(tmp_path, f"tower{k}.json", pair_body(p, cols))
+        bad = write_json(tmp_path, f"scaled{k}.json", pair_body(p, scaled))
+        yield bad, good, None
+
+
+def test_invalid_pairs_fail_alike_in_every_command(capsys, tmp_path):
+    seen = 0
+    for bad, good, failures in invalid_pairs(tmp_path):
+        code, out, _ = run(capsys, "validate", bad)
+        report = json.loads(out)["pair"]
+        assert code == 2 and report["valid"] is False
+        if failures is None:  # a scaled tower
+            dets = {abs(d) for d in report["vertex_determinants"].values()}
+            assert len(dets) == 2 and dets - {1} <= {2, 3}, report
+            failures = report["failures"]
+        assert report["failures"] == failures
+        message = "validation failure: invalid pair: " + "; ".join(failures) + "\n"
+        for argv in (["cohomology", bad], ["chern", bad], ["chern", "--diagnostics", bad],
+                     ["compare", bad, good], ["compare", good, bad]):
+            assert run(capsys, *argv) == (2, "", message), argv
+        seen += 1
+    assert seen == 10
+
+
+def test_matrix_of_the_wrong_shape_is_an_input_error(capsys, tmp_path):
+    square = pairgen.polygon(4)
+    good = write_json(tmp_path, "good.json", pair_body(square, HIRZEBRUCH_1_COLUMNS))
+    wide = write_json(tmp_path, "wide.json", dict(
+        pair_body(square, []), characteristic={"columns": [[1, 0]] * 5}))
+    tall = write_json(tmp_path, "tall.json", dict(
+        pair_body(square, []), characteristic={"columns": [[1, 0, 0]] * 4}))
+    for bad, message in ((wide, "matrix is 2x5 but polytope has n=2, m=4"),
+                         (tall, "matrix is 3x4 but polytope has n=2, m=4")):
+        for argv in (["validate", bad], ["cohomology", bad], ["chern", bad],
+                     ["compare", bad, good], ["compare", good, bad]):
+            assert run(capsys, *argv) == (1, "", f"input error: {message}\n"), argv
 
 
 def test_declared_shape_of_the_wrong_type_is_named(capsys, tmp_path):

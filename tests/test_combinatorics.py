@@ -59,6 +59,93 @@ def test_polytope_rejects_non_pseudomanifold():
         comb.simple_polytope(3, 1, [[1], [2], [3]])
 
 
+def reference_connected(vertices, n):
+    """The seed scan: two vertices are adjacent iff they share n - 1
+    facets, tested over every pair of vertices."""
+    verts = list(vertices)
+    adj = {i: set() for i in range(len(verts))}
+    for i, j in combinations(range(len(verts)), 2):
+        if len(verts[i] & verts[j]) == n - 1:
+            adj[i].add(j)
+            adj[j].add(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for nxt in adj[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
+    return len(seen) == len(verts)
+
+
+def reference_first_bad_ridge(vertices, n):
+    """The seed count: the first ridge, in order of first appearance, that
+    does not lie in exactly two vertices, with its count; None if none."""
+    counts = {}
+    for v in vertices:
+        for ridge in combinations(sorted(v), n - 1):
+            counts[ridge] = counts.get(ridge, 0) + 1
+    return next(((r, c) for r, c in counts.items() if c != 2), None)
+
+
+def shuffled(rng, p):
+    """The vertices of p with its facets relabelled and listed in a seeded order."""
+    perm = list(range(1, p.facet_count + 1))
+    rng.shuffle(perm)
+    verts = [frozenset(perm[i - 1] for i in v) for v in p.vertices]
+    rng.shuffle(verts)
+    return tuple(verts)
+
+
+def side_by_side(p, q):
+    """The vertices of p and of q, q's facets shifted past p's: a
+    pseudomanifold with two components."""
+    shift = p.facet_count
+    return p.vertices + tuple(frozenset(i + shift for i in v) for v in q.vertices)
+
+
+def test_connectivity_through_ridges_matches_the_pair_scan():
+    rng = random.Random("ridges")
+    polytopes = [pairgen.cube(n) for n in range(1, 8)]
+    polytopes += [pairgen.simplex_product(dims) for dims in
+                  ([1], [3], [1, 2], [2, 2], [1, 1, 2], [5, 5], [2, 3, 4])]
+    polytopes += [pairgen.polygon(m) for m in range(3, 13)]
+    for p in polytopes:
+        verts = shuffled(rng, p)
+        assert reference_connected(verts, p.dim)
+        q = comb.SimplePolytopeData(p.facet_count, p.dim, verts)
+        assert q.vertices == verts
+    square, triangle = pairgen.polygon(4), pairgen.polygon(3)
+    three_cube = pairgen.cube(3)
+    apart = [(square, square), (square, triangle), (triangle, pairgen.polygon(7)),
+             (three_cube, three_cube), (three_cube, pairgen.simplex_product([1, 2]))]
+    apart += [(pairgen.polygon(rng.randint(3, 8)), pairgen.polygon(rng.randint(3, 8)))
+              for _ in range(5)]
+    for p, q in apart:
+        verts = side_by_side(p, q)
+        m = p.facet_count + q.facet_count
+        assert reference_first_bad_ridge(verts, p.dim) is None
+        assert not reference_connected(verts, p.dim)
+        with pytest.raises(ValidationError, match="^dual complex is not connected$"):
+            comb.SimplePolytopeData(m, p.dim, verts)
+
+
+def test_non_pseudomanifold_names_the_same_first_ridge():
+    rng = random.Random("bad ridges")
+    cases = [(3, 1, (frozenset([1]), frozenset([2]), frozenset([3])))]
+    for p in [pairgen.cube(n) for n in range(2, 6)] + [pairgen.polygon(m) for m in (5, 8)]:
+        verts = list(shuffled(rng, p))
+        cases.append((p.facet_count, p.dim, tuple(verts[1:])))  # a vertex dropped
+        extra = verts[0]
+        while extra in verts:
+            extra = frozenset(rng.sample(range(1, p.facet_count + 1), p.dim))
+        cases.append((p.facet_count, p.dim, tuple(verts + [extra])))  # a vertex added
+    assert len(cases) == 13
+    for m, n, verts in cases:
+        ridge, count = reference_first_bad_ridge(verts, n)
+        with pytest.raises(ValidationError) as err:
+            comb.SimplePolytopeData(m, n, verts)
+        assert str(err.value) == f"ridge {list(ridge)} lies in {count} maximal faces, expected 2"
+
+
 def test_complex_rejects_contained_maximal_face():
     with pytest.raises(ValidationError, match="contained"):
         comb.simplicial_complex(3, [[1, 2, 3], [1, 2]])
