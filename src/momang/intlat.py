@@ -2,9 +2,9 @@
 
 Smith and Hermite normal forms, saturated kernel bases, primitivity and
 unimodularity tests.  Everything here is arbitrary-precision integer
-arithmetic on plain list-of-lists matrices; no floating point is used
-anywhere (normal-form pivots can blow up intermediate values well past
-machine range).
+arithmetic on plain list-of-lists matrices (or dict rows, for invariant
+factors); no floating point is used anywhere (normal-form pivots can blow
+up intermediate values well past machine range).
 """
 
 from itertools import combinations
@@ -217,8 +217,49 @@ def smith_normal_form(mat, *, u=True, v=True):
 
 
 def invariant_factors(mat):
-    """Nonzero diagonal of the Smith form, without the transform matrices."""
-    return smith_normal_form(mat, u=False, v=False).invariant_factors()
+    """Nonzero diagonal of the Smith form, without the transform matrices.
+
+    Rows are dense lists or sparse {column: entry} dicts.  Each pivot of
+    absolute value 1 splits off a factor 1 and leaves its Schur complement
+    (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001); only the
+    rows left without one go to the dense Smith form.
+    """
+    if len({len(row) for row in mat if not isinstance(row, dict)}) > 1:
+        raise ShapeError("ragged matrix")
+    rows = [dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
+            for row in mat]
+    holders = {}  # column -> rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    factors, left, kept = [], None, list(range(len(rows)))
+    while kept != left:  # another pass over the rows kept while the last one pivoted
+        left, kept = kept, []
+        for i in left:
+            row = rows[i]
+            col = next((j for j, x in row.items() if x == 1 or x == -1), None)
+            if col is None:
+                kept.append(i)
+                continue
+            factors.append(1)
+            for j in row:
+                holders[j].discard(i)
+            sign = row.pop(col)
+            for r in holders.pop(col):
+                target = rows[r]
+                factor = target.pop(col) * sign
+                for j, x in row.items():
+                    y = target.get(j, 0) - factor * x
+                    if y:
+                        target[j] = y
+                        holders[j].add(r)
+                    else:
+                        del target[j]
+                        holders[j].discard(r)
+    residual = [[rows[i].get(j, 0) for j in holders if holders[j]] for i in left if rows[i]]
+    if residual:
+        factors += smith_normal_form(residual, u=False, v=False).invariant_factors()
+    return factors
 
 
 def kernel_basis(mat):

@@ -85,17 +85,19 @@ class HomologyProfile:
 
 
 def homology(k, flavor, budget=None):
-    """Integral homology of the model from one Smith form per non-face block.
+    """Integral homology of the model from the elimination of each block.
 
     Walking each face sigma of K with each J containing it keeps the faces
-    of K_J by size, but only for a J that is not a face.  Their boundary
-    drops the vertex at position p of sigma with sign (-1)^p, which differs
-    from the Koszul sign of the product complex by a sign change of each
-    cell and leaves every invariant factor as it is.  A block whose J is a
-    face is the augmented chain complex of a simplex, which is exact: it
-    has C(j, s) cells of degree s + c*j and, out of each s >= 1, a boundary
-    of rank C(j - 1, s - 1) with every invariant factor 1, so it is counted,
-    not built.  The empty J keeps its Z in degree 0.
+    of K_J by size, but only for a J that is not a face.  Their boundary,
+    one sparse row per face keyed by the masks of its facets, drops the
+    vertex at position p of sigma with sign (-1)^p, which differs from the
+    Koszul sign of the product complex by a sign change of each cell and
+    leaves every invariant factor as it is; onto the empty face it has rank
+    1 and is counted.  A block whose J is a face is the augmented chain
+    complex of a simplex, which is exact: it has C(j, s) cells of degree
+    s + c*j and, out of each s >= 1, a boundary of rank C(j - 1, s - 1)
+    with every invariant factor 1, so it is counted, not built.  The empty
+    J keeps its Z in degree 0.
     """
     shift = _sphere_dim(flavor)
     m = k.vertex_count
@@ -131,16 +133,14 @@ def homology(k, flavor, budget=None):
         base = shift * block.bit_count()
         for size, level in levels.items():
             cells[size + base] += len(level)
-            if not size:
-                continue
-            lower = {face: row for row, face in enumerate(levels[size - 1])}
-            matrix = [[0] * len(level) for _ in lower]
-            for col, face in enumerate(level):
-                for pos in range(size):
-                    matrix[lower[face[:pos] + face[pos + 1:]]][col] = -1 if pos % 2 else 1
-            found = invariant_factors(matrix)
-            ranks[size + base] += len(found)
-            torsion.setdefault(size + base, []).extend(x for x in found if x > 1)
+            if size == 1:
+                ranks[1 + base] += 1
+            elif size:
+                found = invariant_factors(
+                    [{masks[face] ^ (1 << v): -1 if pos % 2 else 1 for pos, v in enumerate(face)}
+                     for face in level])
+                ranks[size + base] += len(found)
+                torsion.setdefault(size + base, []).extend(x for x in found if x > 1)
     groups = {}
     for deg in range(max(cells) + 1):
         free = cells[deg] - ranks[deg] - ranks[deg + 1]

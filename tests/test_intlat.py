@@ -167,6 +167,65 @@ def test_invariant_factors_known():
     assert intlat.invariant_factors([[2, 0], [0, 4]]) == [2, 4]
     assert intlat.invariant_factors([[0, 0], [0, 0]]) == []
     assert intlat.invariant_factors([[1, 2], [3, 4]]) == [1, 2]
+    assert intlat.invariant_factors([{7: 2}, {"a": 4}]) == [2, 4]
+    with pytest.raises(ShapeError):
+        intlat.invariant_factors([[1, 2], [3]])
+
+
+def sparse_rows(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def invariant_factor_cases():
+    # seeded matrices from 0x0 to 8x8, entries -3..3, about half of them 0
+    rng = random.Random(1913)
+    cases = [[], [[2, 0], [0, 4]], [[0] * 5 for _ in range(4)], [[0] * 3],
+             [[0, 3, -1, 2, 0, 1]], [[3], [0], [-1], [2]], [[2, 4, 6]], [[], []]]
+    for trial in range(400):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        m = [[rng.choice([0, 0, 0, 0, 0, 0, -3, -2, -1, 1, 2, 3]) for _ in range(cols)]
+             for _ in range(rows)]
+        kind = trial % 4
+        if kind == 1 and rows and cols:
+            # heavy fill-in: a unit pivot whose row and column are full
+            m[0] = [rng.choice([-1, 1]) for _ in range(cols)]
+            for row in m:
+                row[0] = rng.choice([-1, 1])
+        elif kind == 2:
+            # rows with no unit: every entry scaled by 2 or 3
+            for row in rng.sample(m, rng.randint(0, rows)):
+                row[:] = [rng.choice([2, 3]) * x for x in row]
+        elif kind == 3:
+            # only -1 pivots
+            m = [[-abs(x) if abs(x) == 1 else x for x in row] for row in m]
+        cases.append(m)
+    return cases
+
+
+def test_invariant_factors_match_the_dense_smith_form():
+    for m in invariant_factor_cases():
+        expected = intlat.smith_normal_form(m, u=False, v=False).invariant_factors()
+        rows = sparse_rows(m)
+        assert intlat.invariant_factors(m) == expected, m
+        assert intlat.invariant_factors(rows) == expected, m
+        assert rows == sparse_rows(m), m
+
+
+def test_unit_pivots_leave_only_the_residual_to_the_smith_form(monkeypatch):
+    seen = []
+    smith = intlat.smith_normal_form
+
+    def counted(mat, **flags):
+        seen.append(mat)
+        return smith(mat, **flags)
+
+    monkeypatch.setattr(intlat, "smith_normal_form", counted)
+    assert intlat.invariant_factors([[1, -1, 0], [0, 1, -1], [-1, 0, 1]]) == [1, 1]
+    # the first row gains its unit only from the pivot of the second
+    assert intlat.invariant_factors([[2, 3], [1, 1]]) == [1, 1]
+    assert seen == []
+    assert intlat.invariant_factors([[1, 0, 0], [0, 2, 0], [0, 0, 4]]) == [1, 2, 4]
+    assert seen == [[[2, 0], [0, 4]]]
 
 
 def test_kernel_basis_randomized():

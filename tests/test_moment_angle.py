@@ -68,7 +68,8 @@ def reference_homology(k, flavor):
                     matrix[lower[cell[:i] + ("s",) + cell[i + 1:]]][col] += \
                         -1 if prefix % 2 else 1
                 prefix += dims[c]
-        factors[dim] = intlat.invariant_factors(matrix) if matrix else []
+        factors[dim] = (intlat.smith_normal_form(matrix, u=False, v=False).invariant_factors()
+                        if matrix else [])
     groups = {deg: (len(cells.get(deg, [])) - len(factors.get(deg, []))
                     - len(factors.get(deg + 1, [])),
                     [x for x in factors.get(deg + 1, []) if x > 1])
@@ -135,6 +136,49 @@ def test_simplex_blocks_skip_the_smith_form(flavor):
         for k in cases:
             profile = ma.homology(k, flavor)
             assert observed(profile) == reference_homology(k, flavor), (m, k)
+
+
+@pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
+def test_closed_forms_at_the_budget_edge(flavor):
+    # Z_K of the boundary of a simplex on m vertices is S^((c+1)m - 1), and
+    # Z_K of a join is the product, so at m = 10 the boundary of the
+    # 9-simplex gives one sphere and the join of two boundaries of the
+    # 4-simplex a product of two
+    c = ma.SPHERE_DIMS[flavor]
+    assert ma.is_sphere_profile(ma.homology(simplex_dual(9), flavor), 10 * c + 9)
+    d = 5 * c + 4
+    join = dual_complex(pairgen.simplex_product([4, 4]))
+    expected = {deg: ({0: 1, d: 2, 2 * d: 1}.get(deg, 0), []) for deg in range(2 * d + 1)}
+    assert observed(ma.homology(join, flavor)) == (expected, 0)
+
+
+def counted_smith_forms(monkeypatch):
+    calls = []
+    smith = intlat.smith_normal_form
+
+    def counted(mat, **flags):
+        calls.append(mat)
+        return smith(mat, **flags)
+
+    monkeypatch.setattr(intlat, "smith_normal_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
+def test_unit_pivots_reduce_every_block(flavor, monkeypatch):
+    # the boundaries of these torsion-free models leave no residual for
+    # the Smith form; RP^2_6 leaves one, which keeps its Z/2
+    polytopes = [pairgen.polygon(m) for m in range(4, 11)]
+    polytopes += [pairgen.cube(n) for n in range(2, 6)]
+    polytopes += [pairgen.simplex_product(dims)
+                  for dims in ([1, 2], [2, 2], [1, 4], [2, 3], [1, 1, 2], [1, 2, 3], [4, 4])]
+    calls = counted_smith_forms(monkeypatch)
+    for k in [dual_complex(p) for p in polytopes] + [simplex_dual(9)]:
+        ma.homology(k, flavor)
+    assert calls == []
+    profile = ma.homology(RP2_6, flavor)
+    assert len(calls) <= 1
+    assert [profile.torsion(d) for d in profile.groups if profile.torsion(d)] == [[2]]
 
 
 def test_merge_torsion_gives_invariant_factors():
