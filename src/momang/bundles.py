@@ -10,7 +10,7 @@ quaternionic analogue over supported bases.
 from . import intlat
 from .charpair import solved_form, validate_quaternionic_functor
 from .cohomology import CohomologyClass
-from .combinatorics import dual_complex
+from .combinatorics import dual_complex, minimal_non_faces
 from .errors import ShapeError, UnsupportedBaseError, ValidationError
 
 
@@ -87,14 +87,6 @@ class QuaternionicPrimaryTuple:
         self.base_dim = base_dim
 
 
-def _is_simplex_dual(k):
-    m = k.vertex_count
-    full = frozenset(range(1, m + 1))
-    return (len(k.maximal_faces) == m
-            and all(len(f) == m - 1 for f in k.maximal_faces)
-            and frozenset().union(*k.maximal_faces) == full)
-
-
 def simplex_h4_presentation(m):
     """Degree-4 presentation of quaternionic projective space: Z, with every
     facet class a generator (the transverse sphere meets each stratum once)."""
@@ -107,8 +99,9 @@ def quaternionic_primary_tuple(p, f, b, h4=None):
     `b` is an r x m integer matrix expressing each of the r = m - n
     classes in the facet classes; the tuple is its evaluation against the
     presentation.  A presentation is built internally only for the
-    simplex family (quaternionic projective bases); no general matrix
-    formula exists, so other bases require a caller-supplied `h4`.
+    simplex family (quaternionic projective bases), known by its one
+    minimal non-face, all facets; no general matrix formula exists, so
+    other bases require a caller-supplied `h4`.
     """
     report = validate_quaternionic_functor(p, f)
     if not report.valid:
@@ -116,7 +109,7 @@ def quaternionic_primary_tuple(p, f, b, h4=None):
     m, n = p.facet_count, p.dim
     r = m - n
     if h4 is None:
-        if _is_simplex_dual(dual_complex(p)):
+        if minimal_non_faces(dual_complex(p)) == [tuple(range(1, m + 1))]:
             h4 = simplex_h4_presentation(m)
         else:
             raise UnsupportedBaseError(

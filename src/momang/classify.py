@@ -250,14 +250,23 @@ def _functors_match(p, f, p2, f2, bound=DEFAULT_SEARCH_BOUND):
     For a fixed isomorphism sigma, a relabeling pi with
     pi(label_i) = label'_sigma(i) for every facet exists exactly when both
     sides have the same multiset of membership signatures; with equal
-    universes, the coordinates in no label match automatically.
+    universes, the coordinates in no label match automatically.  A pi keeps
+    label sizes, so only size-preserving sigma are tried; over a simplex
+    boundary (m >= 3) valid labels are disjoint and the first one decides.
     """
     if f.n_act != f2.n_act:
         return False
     m = p.facet_count
+    size = [len(f.label(i)) for i in range(1, m + 1)]
+    size2 = [len(f2.label(c)) for c in range(1, p2.facet_count + 1)]
+    # built first, so that the budget is checked on every call
+    search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound,
+                                 lambda i, c: size[i - 1] == size2[c - 1])
+    if sorted(size) != sorted(size2):
+        return False
     want = _signatures([f.label(i) for i in range(1, m + 1)])
     return any(_signatures([f2.label(iso[i - 1]) for i in range(1, m + 1)]) == want
-               for iso in _isomorphism_search(dual_complex(p), dual_complex(p2), bound))
+               for iso in search)
 
 
 def rigidity_verdict_quaternionic(p, f, tuple1, p2, f2, tuple2,

@@ -7,8 +7,7 @@ factors); no floating point is used anywhere (normal-form pivots can blow
 up intermediate values well past machine range).
 """
 
-from itertools import combinations
-from math import gcd
+from math import prod
 
 from .errors import ShapeError, ValidationError
 
@@ -284,19 +283,16 @@ def kernel_basis(mat):
 def maximal_minor_gcd(mat):
     """gcd of the absolute values of all maximal (rows x rows) minors.
 
-    Returns 0 iff the matrix has rank below its row count.
+    That gcd is the rows-th determinantal divisor, the product of the
+    first rows invariant factors; it is 0 iff the matrix has rank below
+    its row count.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if rows > cols:
         raise ShapeError(f"need rows <= cols, got {rows}x{cols}")
-    g = 0
-    for subset in combinations(range(cols), rows):
-        minor = det([[mat[i][j] for j in subset] for i in range(rows)])
-        g = gcd(g, minor)
-        if g == 1:
-            return 1
-    return abs(g)
+    factors = invariant_factors(mat)
+    return prod(factors) if len(factors) == rows else 0
 
 
 def hermite_row_form(mat):

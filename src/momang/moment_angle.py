@@ -23,7 +23,7 @@ QUATERNIONIC = "quaternionic"
 
 SPHERE_DIMS = {COMPLEX: 1, QUATERNIONIC: 3}
 
-HOMOLOGY_BUDGET = 10
+HOMOLOGY_BUDGET = 12
 
 
 def _sphere_dim(flavor):
@@ -103,8 +103,7 @@ def homology(k, flavor, budget=None):
     m = k.vertex_count
     limit = HOMOLOGY_BUDGET if budget is None else budget
     if m > limit:
-        raise BudgetError(
-            f"cell enumeration over 3^{m} tuples exceeds the budget m <= {limit}", limit)
+        raise BudgetError(f"homology limited to m <= {limit} vertices, got {m}", limit)
     faces = [()] + [f for level in enumerate_faces(k) for f in level]
     # a vertex set is a mask with bit i for vertex i; each J containing
     # sigma is sigma joined to a non-empty subset of the other vertices

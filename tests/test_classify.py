@@ -6,7 +6,8 @@ import pytest
 import pairgen
 from momang import bundles, classify, intlat
 from momang.charpair import (from_columns, isotropy_functor,
-                             validate_characteristic_pair)
+                             validate_characteristic_pair,
+                             validate_quaternionic_functor)
 from momang.combinatorics import (automorphisms, dual_complex, isomorphisms,
                                   simple_polytope)
 from momang.errors import IncomparableError, ValidationError
@@ -385,3 +386,69 @@ def test_functors_match_agrees_with_brute_force():
         assert classify._functors_match(p, f, p2, f2) == want, (p.vertices, labels, labels2)
         matches += want
     assert 50 < matches < 250
+    # larger automorphism groups, where the label sizes prune the search:
+    # the boundary of the 3-simplex and the pentagon
+    rng = random.Random(12)
+    bases = [simplex(3), pairgen.polygon(5)]
+    matches = 0
+    for trial in range(200):
+        p = bases[trial % 2]
+        m = p.facet_count
+        n_act = rng.randint(1, 6)
+
+        def random_label(size=None):
+            size = size or rng.randint(1, min(3, n_act))
+            return rng.sample(range(1, n_act + 1), size)
+
+        labels = [random_label() for _ in range(m)]
+        f = isotropy_functor(n_act, labels)
+        perm = list(range(1, m + 1))
+        rng.shuffle(perm)
+        p2 = relabel_polytope(p, perm)
+        if trial % 4 == 3:
+            labels2 = [random_label() for _ in range(m)]
+        else:
+            pi = list(range(1, n_act + 1))
+            rng.shuffle(pi)
+            labels2 = [None] * m
+            for i in range(1, m + 1):
+                labels2[perm[i - 1] - 1] = [pi[x - 1] for x in labels[i - 1]]
+            if trial % 4 == 1:  # same sizes, possibly another overlap pattern
+                labels2[0] = random_label(len(labels2[0]))
+        f2 = isotropy_functor(n_act, labels2)
+        want = functors_match_oracle(p, f, p2, f2)
+        assert classify._functors_match(p, f, p2, f2) == want, (p.vertices, labels, labels2)
+        matches += want
+    assert 100 < matches < 170
+
+
+def test_functors_match_over_a_simplex_stops_at_the_first_sigma(monkeypatch):
+    # valid functors over a simplex boundary have disjoint labels, so the
+    # first size-preserving sigma decides: one signature on each side
+    calls = []
+    signatures = classify._signatures
+
+    def counted(labels):
+        calls.append(labels)
+        return signatures(labels)
+
+    monkeypatch.setattr(classify, "_signatures", counted)
+    for m in range(3, 13):
+        p = simplex(m - 1)
+        sizes = [1 + i % 3 for i in range(m)]
+        labels, start = [], 1
+        for size in sizes:
+            labels.append(list(range(start, start + size)))
+            start += size
+        f = isotropy_functor(start - 1, labels)
+        f2 = isotropy_functor(start - 1, labels[::-1])
+        assert validate_quaternionic_functor(p, f).valid
+        assert validate_quaternionic_functor(p, f2).valid
+        calls.clear()
+        assert classify._functors_match(p, f, p, f2)
+        assert len(calls) == 2, m
+        # one label one coordinate wider: unequal sizes decide with no search
+        wider = isotropy_functor(start, labels[:-1] + [labels[-1] + [start]])
+        calls.clear()
+        assert not classify._functors_match(p, isotropy_functor(start, labels), p, wider)
+        assert calls == [], m

@@ -95,13 +95,12 @@ def test_homology_output(capsys):
 
 
 def test_homology_budget_exit(capsys, tmp_path):
-    obj = {"m": 11, "maximal_faces": [[i] for i in range(1, 12)]}
+    obj = {"m": 13, "maximal_faces": [[i] for i in range(1, 14)]}
     path = write_json(tmp_path, "big.json", obj)
     for flavor in ("complex", "quaternionic"):
         code, _, err = run(capsys, "homology", path, "--flavor", flavor)
         assert code == 5
-        assert err == ("budget exceeded: cell enumeration over 3^11 tuples "
-                       "exceeds the budget m <= 10\n")
+        assert err == "budget exceeded: homology limited to m <= 12 vertices, got 13\n"
 
 
 def test_homology_quaternionic_flavor(capsys):
@@ -510,6 +509,28 @@ def test_compare_quaternionic_large_universe(capsys, tmp_path):
     code, out, _ = run(capsys, "compare", first, second)
     assert code == 0
     assert json.loads(out)["bundle"]["functors_match"] is True
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_compare_quaternionic_simplex_ladder(capsys, tmp_path, m):
+    # over the boundary of the (m-1)-simplex, inside the default budget
+    def functor(name, labels):
+        vertices = [[j for j in range(1, m + 1) if j != i] for i in range(1, m + 1)]
+        return write_json(tmp_path, name, {
+            "polytope": {"m": m, "n": m - 1, "vertices": vertices},
+            "functor": {"n_act": m + 1, "labels": labels}})
+
+    def compare(first, second):
+        code, out, _ = run(capsys, "compare", first, second)
+        return code, json.loads(out)["bundle"]["functors_match"]
+
+    singles = functor("singles.json", [[i] for i in range(1, m + 1)])
+    wide_first = functor("first.json", [[1, m + 1]] + [[i] for i in range(2, m + 1)])
+    wide_last = functor("last.json", [[i] for i in range(1, m)] + [[m, m + 1]])
+    shifted = functor("shifted.json", [[i % m + 1] for i in range(1, m + 1)])
+    assert compare(singles, shifted) == (0, True)
+    assert compare(wide_first, singles) == (3, False)
+    assert compare(wide_first, wide_last) == (0, True)
 
 
 def pair_body(poly, cols):

@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -249,6 +250,34 @@ def test_kernel_basis_of_surjection():
     assert len(basis) == 2
     lattice = intlat.hermite_row_form(basis)
     assert lattice == intlat.hermite_row_form([[1, 0, 1, 0], [0, 1, 0, 1]])
+
+
+def reference_maximal_minor_gcd(mat):
+    # the gcd of every rows x rows minor, one determinant per column subset
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    g = 0
+    for subset in combinations(range(cols), rows):
+        g = gcd(g, intlat.det([[mat[i][j] for j in subset] for i in range(rows)]))
+    return g
+
+
+def test_maximal_minor_gcd_matches_the_minors():
+    rng = random.Random(21)
+    assert intlat.maximal_minor_gcd([]) == reference_maximal_minor_gcd([]) == 1
+    deficient = 0
+    for trial in range(1500):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(rows, 6)
+        mat = [[rng.randint(-3, 4) if rng.random() < 0.5 else 0 for _ in range(cols)]
+               for _ in range(rows)]
+        if rows > 1 and trial % 5 == 0:  # a row in the span of two others
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[-2])]
+        want = reference_maximal_minor_gcd(mat)
+        assert intlat.maximal_minor_gcd(mat) == want, mat
+        deficient += want == 0
+    assert 200 < deficient < 1000
 
 
 def test_maximal_minor_gcd():

@@ -141,15 +141,18 @@ def test_simplex_blocks_skip_the_smith_form(flavor):
 @pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
 def test_closed_forms_at_the_budget_edge(flavor):
     # Z_K of the boundary of a simplex on m vertices is S^((c+1)m - 1), and
-    # Z_K of a join is the product, so at m = 10 the boundary of the
-    # 9-simplex gives one sphere and the join of two boundaries of the
-    # 4-simplex a product of two
+    # Z_K of a join is the product, so for m = 10..12 the boundary of the
+    # (m-1)-simplex gives one sphere, and at m = 10 and 12 the join of two
+    # boundaries of (m/2 - 1)-simplices a product of two
     c = ma.SPHERE_DIMS[flavor]
-    assert ma.is_sphere_profile(ma.homology(simplex_dual(9), flavor), 10 * c + 9)
-    d = 5 * c + 4
-    join = dual_complex(pairgen.simplex_product([4, 4]))
-    expected = {deg: ({0: 1, d: 2, 2 * d: 1}.get(deg, 0), []) for deg in range(2 * d + 1)}
-    assert observed(ma.homology(join, flavor)) == (expected, 0)
+    for m in (10, 11, 12):
+        assert ma.is_sphere_profile(ma.homology(simplex_dual(m - 1), flavor), m * c + m - 1)
+    for half in (5, 6):
+        d = half * c + half - 1
+        join = dual_complex(pairgen.simplex_product([half - 1, half - 1]))
+        expected = {deg: ({0: 1, d: 2, 2 * d: 1}.get(deg, 0), [])
+                    for deg in range(2 * d + 1)}
+        assert observed(ma.homology(join, flavor)) == (expected, 0)
 
 
 def counted_smith_forms(monkeypatch):
@@ -190,11 +193,11 @@ def test_merge_torsion_gives_invariant_factors():
 
 
 def test_budget_enforced():
-    k = simplicial_complex(11, [[i] for i in range(1, 12)])
+    k = simplicial_complex(13, [[i] for i in range(1, 14)])
     for flavor in (ma.COMPLEX, ma.QUATERNIONIC):
         with pytest.raises(BudgetError) as exc:
             ma.homology(k, flavor)
-        assert exc.value.bound == 10
+        assert exc.value.bound == 12
 
 
 def test_simplex_models_are_spheres_complex():
