@@ -92,12 +92,13 @@ def homology(k, flavor, budget=None):
     one sparse row per face keyed by the masks of its facets, drops the
     vertex at position p of sigma with sign (-1)^p, which differs from the
     Koszul sign of the product complex by a sign change of each cell and
-    leaves every invariant factor as it is; onto the empty face it has rank
-    1 and is counted.  A block whose J is a face is the augmented chain
-    complex of a simplex, which is exact: it has C(j, s) cells of degree
-    s + c*j and, out of each s >= 1, a boundary of rank C(j - 1, s - 1)
-    with every invariant factor 1, so it is counted, not built.  The empty
-    J keeps its Z in degree 0.
+    leaves every invariant factor as it is.  Two levels are counted: onto
+    the empty face the rank is 1, and from the edges onto the vertices it
+    is the vertices less the components of K_J, every factor 1.  A block
+    whose J is a face is the augmented chain complex of a simplex, which
+    is exact: it has C(j, s) cells of degree s + c*j and, out of each
+    s >= 1, a boundary of rank C(j - 1, s - 1) with every invariant factor
+    1, so it is counted, not built.  The empty J keeps its Z in degree 0.
     """
     shift = _sphere_dim(flavor)
     m = k.vertex_count
@@ -134,6 +135,8 @@ def homology(k, flavor, budget=None):
             cells[size + base] += len(level)
             if size == 1:
                 ranks[1 + base] += 1
+            elif size == 2:
+                ranks[2 + base] += _forest_rank(level)
             elif size:
                 found = invariant_factors(
                     [{masks[face] ^ (1 << v): -1 if pos % 2 else 1 for pos, v in enumerate(face)}
@@ -145,6 +148,20 @@ def homology(k, flavor, budget=None):
         free = cells[deg] - ranks[deg] - ranks[deg + 1]
         groups[deg] = AbelianGroupInvariants(free, _merge_torsion(torsion.get(deg + 1, [])))
     return HomologyProfile(groups, sum((-1) ** deg * n for deg, n in cells.items()))
+
+
+def _forest_rank(edges):
+    """Rank of a graph's edges-onto-vertices boundary: the merging edges."""
+    parent, merges = {}, 0
+    for u, v in edges:
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            merges += 1
+    return merges
 
 
 def _merge_torsion(orders):

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 
 import pytest
@@ -142,12 +142,28 @@ def mcgavran_rank(m, d):
     return 0
 
 
-def test_homology_of_complex_10_gon_inside_default_budget(capsys, tmp_path):
-    code, out, err = run(capsys, "homology", write_json(tmp_path, "p.json", polygon(10)))
+@pytest.mark.parametrize("m", [10, 11, 12])
+def test_homology_of_complex_m_gon_inside_default_budget(capsys, tmp_path, m):
+    code, out, err = run(capsys, "homology", write_json(tmp_path, "p.json", polygon(m)))
     assert code == 0, err
     ranks = {d["k"]: d["rank"] for d in json.loads(out)["degrees"]}
-    assert ranks == {d: mcgavran_rank(10, d) for d in range(13)}
-    assert [ranks[d] for d in range(3, 10)] == [35, 160, 350, 448, 350, 160, 35]
+    assert ranks == {d: mcgavran_rank(m, d) for d in range(m + 3)}
+    if m == 10:
+        assert [ranks[d] for d in range(3, 10)] == [35, 160, 350, 448, 350, 160, 35]
+
+
+@pytest.mark.parametrize("flavor, sphere", [("complex", 3), ("quaternionic", 7)])
+def test_homology_of_the_6_cube_dual_is_a_product_of_spheres(capsys, tmp_path, flavor, sphere):
+    # Z_K over the 6-cube is (S^3)^6, or (S^7)^6 in the quaternionic flavour
+    cube = {"polytope": {"m": 12, "n": 6,
+                         "vertices": [list(v) for v in product(*[(i, i + 6) for i in range(1, 7)])]}}
+    code, out, err = run(capsys, "homology", write_json(tmp_path, "c.json", cube),
+                         "--flavor", flavor)
+    assert code == 0, err
+    degrees = json.loads(out)["degrees"]
+    assert {d["k"]: d["rank"] for d in degrees} == {
+        d: comb(6, d // sphere) if d % sphere == 0 else 0 for d in range(6 * sphere + 1)}
+    assert all(not d["torsion"] for d in degrees)
 
 
 @pytest.mark.parametrize("m", [9, 10])

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -37,6 +38,34 @@ def random_sparse_complex(rng, m):
              for _ in range(rng.randint(3, 2 * m))]
     faces += [{i} for i in range(1, m + 1) if not any(i in f for f in faces)]
     return simplicial_complex(m, [f for f in faces if not any(f < g for g in faces)])
+
+
+def random_graph_complex(rng, m):
+    # a sparse graph on 1..m, its isolated vertices kept as maximal faces,
+    # so that most full subcomplexes fall apart into several components
+    edges = [set(e) for e in combinations(range(1, m + 1), 2) if rng.random() < 0.3]
+    isolated = [{v} for v in range(1, m + 1) if not any(v in e for e in edges)]
+    return simplicial_complex(m, edges + isolated)
+
+
+def seeded_graphs(seed):
+    rng = random.Random(seed)
+    return [random_graph_complex(rng, m) for m in range(3, 10) for _ in range(3)]
+
+
+def components(vertices, edges):
+    seen, count = set(), 0
+    for start in vertices:
+        if start in seen:
+            continue
+        count += 1
+        todo = [start]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo += [w for e in edges if v in e for w in e]
+    return count
 
 
 RP2_6 = simplicial_complex(6, [[1, 2, 4], [1, 3, 4], [1, 3, 5], [1, 2, 6], [1, 5, 6],
@@ -182,6 +211,85 @@ def test_unit_pivots_reduce_every_block(flavor, monkeypatch):
     profile = ma.homology(RP2_6, flavor)
     assert len(calls) <= 1
     assert [profile.torsion(d) for d in profile.groups if profile.torsion(d)] == [[2]]
+
+
+def test_forest_rank_matches_the_smith_form():
+    # the edges-onto-vertices boundary of a graph on 1..m, isolated
+    # vertices included, has rank m less the components and factors 1
+    rng = random.Random(31)
+    cases = [(6, []), (6, [(1, 2)]), (6, [(1, 2), (2, 3), (1, 3)]),
+             (7, [(1, 2), (3, 4), (5, 6)])]
+    for _ in range(60):
+        m = rng.randint(2, 9)
+        forest = [(rng.randint(1, v - 1), v) for v in range(2, m + 1) if rng.random() < 0.7]
+        cycle = rng.sample(range(1, m + 1), rng.randint(min(3, m), m))
+        pairs = list(combinations(range(1, m + 1), 2))
+        for edges in (forest, list(zip(cycle, cycle[1:] + cycle[:1])) + forest,
+                      rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * m)))):
+            edges = [tuple(rng.sample(e, 2)) for e in set(edges)]
+            rng.shuffle(edges)
+            cases.append((m, edges))
+    for m, edges in cases:
+        rows = [{v: 1, u: -1} for u, v in edges]
+        dense = [[row.get(v, 0) for v in range(1, m + 1)] for row in rows]
+        smith = (intlat.smith_normal_form(dense, u=False, v=False).invariant_factors()
+                 if dense else [])
+        found = intlat.invariant_factors(rows)
+        rank = ma._forest_rank(edges)
+        assert rank == len(found) == len(smith) == m - components(range(1, m + 1), edges)
+        assert set(found) | set(smith) <= {1}, (m, edges)
+
+
+@pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
+def test_graph_homology_matches_global_smith_form(flavor):
+    for k in [g for g in seeded_graphs(7) if g.vertex_count <= 8]:
+        assert observed(ma.homology(k, flavor)) == reference_homology(k, flavor), \
+            sorted(map(sorted, k.maximal_faces))
+
+
+@pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
+def test_graph_homology_from_components(flavor):
+    # Hochster's formula for a 1-dimensional K and sphere dimension s: K_J
+    # with c components and e edges adds c - 1 in degree s|J| + 1 (from
+    # H~_0) and e - |J| + c in degree s|J| + 2 (from H~_1), no torsion
+    shift = ma.SPHERE_DIMS[flavor]
+    for k in seeded_graphs(8):
+        m = k.vertex_count
+        edges = [tuple(f) for f in k.maximal_faces if len(f) == 2]
+        want = Counter({0: 1})
+        for size in range(1, m + 1):
+            for block in combinations(range(1, m + 1), size):
+                inside = [e for e in edges if set(e) <= set(block)]
+                c = components(block, inside)
+                want[shift * size + 1] += c - 1
+                want[shift * size + 2] += len(inside) - size + c
+        profile = ma.homology(k, flavor)
+        assert {deg: g.free_rank for deg, g in profile.groups.items() if g.free_rank} == +want
+        assert not any(g.torsion for g in profile.groups.values())
+
+
+@pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
+def test_edge_levels_skip_the_elimination(flavor, monkeypatch):
+    # the edges-onto-vertices level of each block is counted from its
+    # components: a 1-dimensional K hands no boundary to invariant_factors,
+    # and a higher one only the rows of faces with three vertices or more
+    calls = []
+    factors = ma.invariant_factors
+
+    def recorded(rows):
+        calls.append(rows)
+        return factors(rows)
+
+    monkeypatch.setattr(ma, "invariant_factors", recorded)
+    for k in [dual_complex(pairgen.polygon(m)) for m in range(4, 13)] + seeded_graphs(7):
+        ma.homology(k, flavor)
+    assert calls == []
+    polytopes = [pairgen.cube(n) for n in range(2, 6)]
+    polytopes += [pairgen.simplex_product(dims)
+                  for dims in ([1, 2], [2, 2], [1, 4], [2, 3], [1, 1, 2], [1, 2, 3], [4, 4])]
+    for p in polytopes:
+        ma.homology(dual_complex(p), flavor)
+    assert calls and all(len(row) >= 3 for rows in calls for row in rows)
 
 
 def test_merge_torsion_gives_invariant_factors():
