@@ -43,7 +43,7 @@ def kernel_chern_classes(p, lam, diagnostics=False):
     yields twice a generator and therefore cannot be the class of the
     Hopf-model bundle.
     """
-    _, _, form = solved_form(p, lam)
+    form, _, _ = solved_form(p, lam)
     a = intlat.kernel_basis(lam.rows())  # the validated pair is surjective
     # H^2 is free on the m - n kept facet classes (Davis-Januszkiewicz): no
     # ideal generator has degree 1, so a kept facet's class is a unit vector
@@ -80,11 +80,12 @@ class H4Presentation:
 
 
 class QuaternionicPrimaryTuple:
-    __slots__ = ("classes", "base_dim")
+    __slots__ = ("classes", "base_dim", "source")
 
-    def __init__(self, classes: list, base_dim: int):
+    def __init__(self, classes: list, base_dim: int, source: tuple | None = None):
         self.classes = classes  # list of integer coordinate vectors in the presentation
         self.base_dim = base_dim
+        self.source = source  # the (polytope, functor) it was validated over, or None
 
 
 def simplex_h4_presentation(m):
@@ -127,4 +128,4 @@ def quaternionic_primary_tuple(p, f, b, h4=None):
         for j, t in enumerate(h4.torsion, start=h4.free_rank):
             vec[j] %= t
         classes.append(vec)
-    return QuaternionicPrimaryTuple(classes=classes, base_dim=4 * n)
+    return QuaternionicPrimaryTuple(classes=classes, base_dim=4 * n, source=(p, f))

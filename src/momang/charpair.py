@@ -2,8 +2,8 @@
 
 Validates integer characteristic matrices (circle-subgroup data, one
 primitive column per facet) and quaternionic isotropy functors
-(coordinate label sets per facet), and solves a valid pair at its
-anchor vertex once for every caller.
+(coordinate label sets per facet), and solves a valid pair once for
+every caller: a Hermite reduction at one vertex, a +-1 pivot per other.
 """
 
 from itertools import chain, combinations
@@ -86,11 +86,12 @@ def validate_characteristic_pair(p, lam):
     _check_shape(p, lam)
     faces = enumerate_faces(dual_complex(p))
     vertex_dets = {v: intlat.det(lam.columns(v)) for v in faces[-1]}
-    in_basis = {f for v, d in vertex_dets.items() if abs(d) == 1
-                for k in range(1, lam.n + 1) for f in combinations(v, k)}
+    valid = all(abs(d) == 1 for d in vertex_dets.values())
+    in_basis = () if valid else {f for v, d in vertex_dets.items() if abs(d) == 1
+                                 for k in range(1, lam.n + 1) for f in combinations(v, k)}
     # a column is primitive iff its one-facet face has gcd 1; when n = 1
     # those faces are the vertices, and their gcds go in no table
-    gcds = {f: 1 if f in in_basis
+    gcds = {f: 1 if valid or f in in_basis
             else intlat.maximal_minor_gcd(intlat.transpose(lam.columns(f)))
             for level in faces[:max(lam.n - 1, 1)] for f in level}
     primitivity = {i: gcds[(i,)] == 1 for i in range(1, lam.m + 1)}
@@ -102,7 +103,7 @@ def validate_characteristic_pair(p, lam):
     failures += [f"vertex {list(v)} has determinant {d}, expected +-1"
                  for v, d in vertex_dets.items() if abs(d) != 1]
     return PairReport(
-        valid=all(abs(d) == 1 for d in vertex_dets.values()),
+        valid=valid,
         column_primitivity=primitivity,
         vertex_determinants=vertex_dets,
         face_minor_gcds=face_gcds,
@@ -111,18 +112,45 @@ def validate_characteristic_pair(p, lam):
 
 
 def solved_form(p, lam):
-    """Validate the pair by its vertex determinants alone (the report only
-    words a failure) and solve it at its anchor, the lexicographically
-    first vertex.  Returns the anchor as a sorted tuple, the inverse of
-    its columns M, and N = M^-1.lam as an anchor facet -> row dict.
+    """Validate the pair and write it in the basis of every vertex.
+
+    The Hermite form of [M | lam | I], M the columns of the anchor (the
+    lexicographically first vertex), is [I | M^-1.lam | M^-1] exactly
+    when M is unimodular.  Walking an edge from w, trading facet a for b,
+    is one pivot on N_w[a][b], which is det M_w' / det M_w up to sign
+    (Cramer's rule), so +-1 exactly when the next vertex is unimodular
+    too.  Only a failure builds the report, to word it.  Returns N at the
+    anchor (a facet -> row dict, keyed by the anchor in order), M^-1, and
+    N_w = M_w^-1.lam for every vertex w, keyed by w.
     """
     _check_shape(p, lam)
-    if any(abs(intlat.det(lam.columns(v))) != 1 for v in p.vertices):
+    n, anchor = lam.n, min(tuple(sorted(v)) for v in p.vertices)
+    h = intlat.hermite_row_form([a + list(b) + c for a, b, c in zip(
+        lam.columns(anchor), lam.entries, intlat.identity(n))])
+    valid = [row[:n] for row in h] == intlat.identity(n)
+    forms = {frozenset(anchor): dict(zip(anchor, (row[n:-n] for row in h)))}
+    stack = list(forms)
+    while valid and stack:
+        w = stack.pop()
+        form = forms[w]
+        for nxt in p.neighbours[w]:
+            if nxt in forms:
+                continue
+            (a,), (b,) = w - nxt, nxt - w
+            x = form[a][b - 1]
+            if x != 1 and x != -1:
+                valid = False
+                break
+            new = form[a] if x == 1 else [-y for y in form[a]]
+            # a row with no entry in column b is shared, not copied: read only
+            forms[nxt] = {f: [y - row[b - 1] * z for y, z in zip(row, new)]
+                          if row[b - 1] else row for f, row in form.items() if f != a}
+            forms[nxt][b] = new
+            stack.append(nxt)
+    if not valid:
         failures = validate_characteristic_pair(p, lam).failures
         raise ValidationError("invalid pair: " + "; ".join(failures))
-    anchor = min(tuple(sorted(v)) for v in p.vertices)
-    inv = intlat.inverse_unimodular(lam.columns(anchor))
-    return anchor, inv, dict(zip(anchor, intlat.mat_mul(inv, lam.rows())))
+    return forms[frozenset(anchor)], [row[-n:] for row in h], forms
 
 
 class QuaternionicIsotropyFunctor:

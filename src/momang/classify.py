@@ -5,10 +5,10 @@ the other by a unimodular base change, an isomorphism of the dual
 complexes, and per-facet signs.  The search anchors on a fixed vertex:
 once both matrices are written in the basis of their anchor columns,
 the base change is a diagonal sign matrix, and it and the facet signs
-are solved for in closed form.  Those normal forms, one per vertex of
-the second polytope and reached from each other by pivots, also prune
-the isomorphism search entry by entry, so the dual-complex symmetries
-are never listed.  Kernel
+are solved for in closed form.  The validation of the second pair
+(`charpair.solved_form`) already writes it in the basis of every one of
+its vertices; those normal forms also prune the isomorphism search
+entry by entry, so the dual-complex symmetries are never listed.  Kernel
 bundles are compared as sublattices of the degree-2 component, which is
 exactly equivalence up to reparametrizing the kernel torus.
 """
@@ -102,32 +102,6 @@ def _solve_signs(n1, n2):
     return e, s
 
 
-def _normal_forms(p2, root_form):
-    """M_w^-1.lam2 for every vertex w of p2, each as a facet -> row dict.
-
-    The root is the solved form of the second pair at its anchor; every
-    other vertex is reached along an edge of the vertex graph, trading
-    facet a of w for facet b by one pivot on N_w[a][b], which is +-1
-    because both ends of the edge are unimodular.
-    """
-    root = frozenset(root_form)
-    normal = {root: root_form}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        form = normal[w]
-        for nxt in p2.vertices:
-            if len(nxt - w) != 1 or nxt in normal:
-                continue
-            (a,), (b,) = w - nxt, nxt - w
-            new = [form[a][b - 1] * x for x in form[a]]
-            normal[nxt] = {f: [x - row[b - 1] * y for x, y in zip(row, new)]
-                           for f, row in form.items() if f != a}
-            normal[nxt][b] = new
-            stack.append(nxt)
-    return normal
-
-
 def _abs_keys(form):
     """Per facet f of a normal form given as facet -> row: sorted |row f|
     where the form has that row, sorted |column f| elsewhere."""
@@ -151,9 +125,9 @@ def _certificate_search(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     must match entry by entry.  Both pairs are validated first, the first
     pair first.
     """
-    anchor, m1_inv, form1 = solved_form(p, lam)
-    _, _, form2 = solved_form(p2, lam2)
-    last = anchor[-1]
+    form1, m1_inv, _ = solved_form(p, lam)
+    _, _, normal = solved_form(p2, lam2)
+    last = max(form1)  # the last anchor facet
     placed = [0] * (lam.m + 1)
     alive = [None] * (lam.m + 1)  # vertices of p2 still open after placing facet i
 
@@ -172,17 +146,16 @@ def _certificate_search(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
         return all(same_abs_column(normal[alive[i][0]], j, placed[j])
                    for j in range(1, last) if j not in form1)
 
-    # built before the walk, so that the budget is checked before it
+    # built first, so that the budget is checked before the keys
     search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound, admit)
     n1 = list(form1.values())
     keys1 = _abs_keys(form1)
-    normal = _normal_forms(p2, form2)
     keys = {w: _abs_keys(form) for w, form in normal.items()}
     shape = sorted(k for i, k in keys1.items() if i not in form1)
     alive[0] = [w for w in normal
                 if sorted(k for c, k in keys[w].items() if c not in w) == shape]
     for sigma in search:
-        image = [sigma[i - 1] for i in anchor]
+        image = [sigma[i - 1] for i in form1]
         form = normal[alive[last][0]]
         n2 = [[row[j - 1] for j in sigma] for row in map(form.get, image)]
         solved = _solve_signs(n1, n2)
@@ -276,12 +249,15 @@ def rigidity_verdict_quaternionic(p, f, tuple1, p2, f2, tuple2,
     Over a 4-dimensional base the primary degree-4 tuples are complete
     invariants and a full equivalent/inequivalent verdict is emitted;
     over higher-dimensional bases only primary-equivalent or
-    primary-distinct is ever reported.
+    primary-distinct is ever reported.  Each functor is validated, the
+    first first, unless its tuple was computed from it over the same
+    polytope, which validated it already.
     """
-    for poly, functor in ((p, f), (p2, f2)):
-        report = validate_quaternionic_functor(poly, functor)
-        if not report.valid:
-            raise ValidationError("invalid functor: " + "; ".join(report.failures))
+    for poly, functor, tup in ((p, f, tuple1), (p2, f2, tuple2)):
+        if tup.source != (poly, functor):
+            report = validate_quaternionic_functor(poly, functor)
+            if not report.valid:
+                raise ValidationError("invalid functor: " + "; ".join(report.failures))
     if tuple1.base_dim != tuple2.base_dim:
         return RigidityVerdict(LEVEL_INCOMPARABLE,
                                bundle_report={"equal_sublattice": False})

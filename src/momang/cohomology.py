@@ -274,7 +274,7 @@ def quasitoric_presentation(p, lam):
     """Face ring of the dual complex modulo the rows of the matrix, in solved
     form: the generators of the anchor vertex are eliminated in favor of
     the remaining m - n."""
-    _, _, solved = solved_form(p, lam)
+    solved, _, _ = solved_form(p, lam)
     m, n = p.facet_count, p.dim
     kept = [i for i in range(1, m + 1) if i not in solved]
     # v_anchor = -N[:, kept] v_kept, integral since the anchor is unimodular

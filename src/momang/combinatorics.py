@@ -66,11 +66,12 @@ def simplicial_complex(m, maximal_faces):
 class SimplePolytopeData:
     """A simple polytope, each vertex recorded as the set of facets through it.
 
-    `dual_complex` keeps the complex it builds in `_dual`, so the record
-    is not to be changed after construction.
+    `neighbours` maps each vertex to those sharing a ridge (an edge) with
+    it, and `dual_complex` keeps the complex it builds in `_dual`, so the
+    record is not to be changed after construction.
     """
 
-    __slots__ = ("facet_count", "dim", "vertices", "_dual")
+    __slots__ = ("facet_count", "dim", "vertices", "neighbours", "_dual")
 
     def __init__(self, facet_count: int, dim: int, vertices: tuple):
         self.facet_count = facet_count
@@ -96,7 +97,7 @@ class SimplePolytopeData:
         if covered != set(range(1, m + 1)):
             missing = sorted(set(range(1, m + 1)) - covered)
             raise ValidationError(f"facets {missing} contain no vertex")
-        _check_connected(self, _check_pseudomanifold(self))
+        self.neighbours = _check_connected(self, _check_pseudomanifold(self))
 
     @property
     def m(self):
@@ -126,7 +127,7 @@ def _check_pseudomanifold(p):
 
 
 def _check_connected(p, ridge_pairs):
-    # two vertices are adjacent iff they share a ridge
+    # two vertices are adjacent iff they share a ridge; returns the adjacency
     adj = {v: [] for v in p.vertices}
     for a, b in ridge_pairs:
         adj[a].append(b)
@@ -138,6 +139,7 @@ def _check_connected(p, ridge_pairs):
         stack += new
     if len(seen) != len(p.vertices):
         raise ValidationError("dual complex is not connected")
+    return adj
 
 
 def dual_complex(p):

@@ -339,9 +339,12 @@ def hermite_row_form(mat):
 
 
 def inverse_unimodular(mat):
-    """Exact inverse of a unimodular integer matrix."""
-    snf = smith_normal_form(mat)
-    n = len(mat)
-    if snf.d != identity(n):
+    """Exact inverse of a unimodular integer matrix: the Hermite form of
+    [mat | I] is [I | mat^-1] exactly when mat is square and unimodular."""
+    n, widths = len(mat), {len(row) for row in mat}
+    if len(widths) > 1:
+        raise ShapeError("ragged matrix")
+    h = hermite_row_form([row + e for row, e in zip(mat, identity(n))])
+    if widths - {n} or [row[:n] for row in h] != identity(n):
         raise ValidationError("matrix is not unimodular")
-    return mat_mul(snf.v, snf.u)
+    return [row[n:] for row in h]

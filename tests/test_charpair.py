@@ -289,10 +289,27 @@ def test_validator_matches_the_face_walk_on_mutants():
     assert all(seen.values()), seen
 
 
+def test_validator_of_a_valid_pair_computes_no_face_gcd(monkeypatch):
+    # every face of a valid pair lies in a unimodular vertex, so its gcd is 1
+    pairs = [(p, charpair.from_columns(cols)) for p, cols in valid_pairs(random.Random(8))]
+
+    def forbidden(*args):
+        raise AssertionError("a valid pair listed the faces of its vertices")
+    monkeypatch.setattr(charpair, "combinations", forbidden)
+    monkeypatch.setattr(intlat, "maximal_minor_gcd", forbidden)
+    assert all(charpair.validate_characteristic_pair(p, lam).valid for p, lam in pairs)
+    with pytest.raises(AssertionError, match="listed the faces"):
+        charpair.validate_characteristic_pair(
+            square(), charpair.from_columns([[1, 0], [0, 1], [-1, 2], [0, -3]]))
+
+
 def test_solved_form_of_a_valid_pair_walks_no_faces(monkeypatch):
-    # the vertex determinants decide a valid pair: no report, no face list
+    # the Hermite reduction and the pivot walk decide a valid pair: no
+    # report, no face list
     pairs = [(p, charpair.from_columns(cols)) for p, cols in valid_pairs(random.Random(8))]
     want = [charpair.solved_form(p, lam) for p, lam in pairs]
+    for (p, _), (form, _, forms) in zip(pairs, want):
+        assert set(forms) == set(p.vertices) and forms[frozenset(form)] is form
 
     def forbidden(*args):
         raise AssertionError("a valid pair walked the faces")
@@ -329,3 +346,125 @@ def test_functor_validator_matches_the_face_walk():
                                       want.injective_on_faces, want.failures), (p, f)
             verdicts.add((want.disjoint_at_faces, want.injective_on_faces))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def reference_inverse(mat):
+    """The inverse read off a two-sided Smith form, U.mat.V = I."""
+    snf = intlat.smith_normal_form(mat)
+    if snf.d != intlat.identity(len(mat)):
+        raise ValidationError("matrix is not unimodular")
+    return intlat.mat_mul(snf.v, snf.u)
+
+
+def reference_solved_form(p, lam):
+    """The earlier design: a Bareiss determinant at every vertex, the
+    report only for an invalid pair, a Smith-form inverse at the anchor.
+    Returns the anchor, the inverse of its columns and N at the anchor."""
+    if any(abs(intlat.det(lam.columns(v))) != 1 for v in p.vertices):
+        failures = charpair.validate_characteristic_pair(p, lam).failures
+        raise ValidationError("invalid pair: " + "; ".join(failures))
+    anchor = min(tuple(sorted(v)) for v in p.vertices)
+    inv = reference_inverse(lam.columns(anchor))
+    return anchor, inv, dict(zip(anchor, intlat.mat_mul(inv, lam.rows())))
+
+
+def solved_or_message(solve, p, lam):
+    try:
+        return solve(p, lam)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_solved_form_matches_the_reference_on_every_family():
+    # each pair as built, disguised by a base change and column signs
+    # with its facets relabelled, and relabelled alone
+    rng = random.Random(23)
+    count = 0
+    for p, cols in valid_pairs(rng):
+        perm = list(range(1, p.facet_count + 1))
+        rng.shuffle(perm)
+        relabelled, moved = pairgen.relabel(p, cols, perm)
+        for q, lam in [(p, charpair.from_columns(cols)), pairgen.disguise(rng, p, cols),
+                       (relabelled, charpair.from_columns(moved))]:
+            form, inv, forms = charpair.solved_form(q, lam)
+            anchor, want_inv, want_form = reference_solved_form(q, lam)
+            assert (tuple(form), inv) == (anchor, want_inv)
+            assert list(form.items()) == list(want_form.items())
+            assert set(forms) == set(q.vertices)
+            for w, got in forms.items():
+                facets = sorted(w)
+                want = intlat.mat_mul(reference_inverse(lam.columns(facets)), lam.rows())
+                assert got == dict(zip(facets, want)), (q.vertices, lam.rows(), w)
+            count += 1
+    assert count == 51
+
+
+def test_invalid_pairs_raise_the_reference_message():
+    rng = random.Random(24)
+    outcomes = set()
+    for p, cols in mutant_pairs(rng):
+        lam = charpair.from_columns(cols)
+        want = solved_or_message(reference_solved_form, p, lam)
+        got = solved_or_message(charpair.solved_form, p, lam)
+        if isinstance(want, str):
+            assert got == want, (p.vertices, cols)
+        else:
+            assert (tuple(got[0]), got[1], got[0]) == want, (p.vertices, cols)
+        outcomes.add(isinstance(want, str))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("case, polytope, cols, failure", [
+    ("det 2 at the anchor", square(), [[2, 0], [0, 1], [-1, 1], [0, -1]],
+     "vertex [1, 2] has determinant 2, expected +-1"),
+    ("det -2 at the anchor", square(), [[0, 1], [2, 0], [-1, 1], [0, -1]],
+     "vertex [1, 2] has determinant -2, expected +-1"),
+    ("det 2 at the far vertex only", square(), [[1, 0], [0, 1], [-1, 1], [-1, -1]],
+     "vertex [3, 4] has determinant 2, expected +-1"),
+    ("det -2 three edges away", pairgen.polygon(6),
+     [[1, 0], [0, 1], [1, 0], [-1, -1], [-1, 1], [2, -1]],
+     "vertex [4, 5] has determinant -2, expected +-1"),
+    ("a singular anchor", square(), [[1, 0], [2, 0], [-1, 1], [0, -1]],
+     "vertex [1, 2] has determinant 0, expected +-1"),
+    ("a zero column at the anchor", square(), [[0, 0], [0, 1], [-1, 0], [0, -1]],
+     "column of facet 1 is not primitive: [0, 0]"),
+    ("a zero column elsewhere", square(), [[1, 0], [0, 1], [0, 0], [0, -1]],
+     "column of facet 3 is not primitive: [0, 0]"),
+])
+def test_invalid_pair_cases(case, polytope, cols, failure):
+    lam = charpair.from_columns(cols)
+    want = solved_or_message(reference_solved_form, polytope, lam)
+    assert isinstance(want, str) and failure in want.split(": ", 1)[1].split("; ")
+    assert solved_or_message(charpair.solved_form, polytope, lam) == want
+
+
+def random_unimodular_product(rng, n):
+    """A product of a few random GL(n, Z) elements, so entries grow."""
+    mat = intlat.identity(n)
+    for _ in range(rng.randint(1, 3)):
+        mat = intlat.mat_mul(mat, pairgen.random_unimodular(rng, n))
+    return mat
+
+
+def test_inverse_unimodular_matches_the_smith_form():
+    rng = random.Random(25)
+    for trial in range(360):
+        n = 1 + trial % 6
+        u = random_unimodular_product(rng, n)
+        rng.shuffle(u)  # a row permutation keeps it unimodular
+        inv = intlat.inverse_unimodular(u)
+        assert inv == reference_inverse(u), u
+        assert intlat.mat_mul(u, inv) == intlat.identity(n)
+    assert intlat.inverse_unimodular([]) == []
+
+
+@pytest.mark.parametrize("mat", [
+    [[0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]],   # det 0
+    [[2]], [[-2]], [[1, 1], [1, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, -2]],   # det +-2
+    [[1, 0]], [[1], [0]], [[1, 0, 0], [0, 1, 0]],   # not square
+])
+def test_inverse_unimodular_rejects_what_the_smith_form_rejects(mat):
+    with pytest.raises(ValidationError, match="^matrix is not unimodular$"):
+        reference_inverse(mat)
+    with pytest.raises(ValidationError, match="^matrix is not unimodular$"):
+        intlat.inverse_unimodular(mat)

@@ -326,6 +326,39 @@ def test_quaternionic_incomparable_bases():
     assert verdict.level == classify.LEVEL_INCOMPARABLE
 
 
+def test_quaternionic_verdict_validates_what_no_tuple_vouches_for(monkeypatch):
+    p, p2 = segment(), simplex(2)
+    f, f2 = isotropy_functor(2, [[1], [2]]), isotropy_functor(3, [[1], [2], [3]])
+    bad, bad2 = isotropy_functor(2, [[1], [1]]), isotropy_functor(3, [[1], [1], [2]])
+    t = bundles.quaternionic_primary_tuple(p, f, [[1, 0]])
+    t2 = bundles.quaternionic_primary_tuple(p2, f2, [[1, 0, 0]])
+    calls = []
+
+    def record(poly, functor, fn=classify.validate_quaternionic_functor):
+        calls.append(functor)
+        return fn(poly, functor)
+    monkeypatch.setattr(classify, "validate_quaternionic_functor", record)
+    # tuples computed from the same polytope and functor were validated then
+    classify.rigidity_verdict_quaternionic(p, f, t, p2, f2, t2)
+    assert calls == []
+    # a tuple built directly, or from another functor or polytope, vouches for nothing
+    built = bundles.QuaternionicPrimaryTuple([[1]], 4)
+    cases = [((p, f, built, p2, f2, t2), [f], None),
+             ((p, bad, t, p2, f2, t2), [bad], "share the isotropy class ((1,),)"),
+             ((p, f, t, p2, bad2, t), [bad2], "labels of facets [1, 2] overlap"),
+             ((p, bad, built, p2, bad2, built), [bad], "faces [1] and [2] share"),
+             ((p2, f, t, p2, f2, t2), [f], "functor labels 2 facets, polytope has 3")]
+    for args, validated, message in cases:
+        calls.clear()
+        if message is None:
+            classify.rigidity_verdict_quaternionic(*args)
+        else:
+            with pytest.raises(ValidationError) as raised:
+                classify.rigidity_verdict_quaternionic(*args)
+            assert message in str(raised.value)
+        assert calls == validated
+
+
 def test_functor_relabeling_detected():
     # same data with the acting coordinates renamed
     p = segment()

@@ -9,7 +9,7 @@ from math import comb, prod
 import pytest
 
 import pairgen
-from momang import classify, cli, intlat
+from momang import bundles, charpair, classify, cli, cohomology, intlat
 from momang.combinatorics import DEFAULT_SEARCH_BOUND
 
 
@@ -547,6 +547,120 @@ def test_compare_quaternionic_simplex_ladder(capsys, tmp_path, m):
     assert compare(singles, shifted) == (0, True)
     assert compare(wide_first, singles) == (3, False)
     assert compare(wide_first, wide_last) == (0, True)
+
+
+def recorded(monkeypatch, modules, name):
+    """Calls to `name` through each module's own binding, as argument tuples."""
+    calls = []
+    for module in modules:
+        def record(*args, fn=getattr(module, name), **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def quaternionic_body(m, n, vertices, n_act, labels):
+    return {"polytope": {"m": m, "n": n, "vertices": vertices},
+            "functor": {"n_act": n_act, "labels": labels}}
+
+
+def test_compare_validates_each_functor_once(capsys, tmp_path, monkeypatch):
+    calls = recorded(monkeypatch, (charpair, bundles, classify),
+                     "validate_quaternionic_functor")
+    triangle = [[1, 2], [2, 3], [1, 3]]
+    simplex = [[j for j in range(1, 7) if j != i] for i in range(1, 7)]
+    singles = write_json(tmp_path, "singles.json",
+                         quaternionic_body(6, 5, simplex, 7, [[i] for i in range(1, 7)]))
+    wide = write_json(tmp_path, "wide.json", quaternionic_body(
+        6, 5, simplex, 7, [[1, 7]] + [[i] for i in range(2, 7)]))
+    t1 = write_json(tmp_path, "t1.json", quaternionic_body(3, 2, triangle, 3, [[1], [2], [3]]))
+    t2 = write_json(tmp_path, "t2.json", quaternionic_body(3, 2, triangle, 4, [[4], [2], [3]]))
+    for argv, code in [(["corpus:hp1-hopf", "corpus:hp1-hopf", "--coeffs", "[[1, 0]]",
+                         "--coeffs2", "[[2, 0]]"], 3),
+                       (["corpus:hp2", "corpus:hp2"], 0), ([singles, wide], 3),
+                       ([wide, singles], 3), ([t1, t2], 3), (["corpus:hp1-hopf", t1], 4)]:
+        calls.clear()
+        assert run(capsys, "compare", *argv)[0] == code, argv
+        first, second = (cli.load_input(path) for path in argv[:2])
+        assert [(p.facet_count, sorted(map(sorted, f.facet_labels))) for p, f in calls] == [
+            (obj["polytope"]["m"], sorted(map(sorted, obj["functor"]["labels"])))
+            for obj in (first, second)], argv
+
+
+def test_compare_reports_the_first_invalid_functor_first(capsys, tmp_path):
+    # the first functor is validated, and its tuple made, before the second is validated
+    triangle = [[1, 2], [2, 3], [1, 3]]
+    square = [[1, 2], [2, 3], [3, 4], [1, 4]]
+    bad1 = write_json(tmp_path, "bad1.json", quaternionic_body(2, 1, [[1], [2]], 2, [[1], [1]]))
+    bad2 = write_json(tmp_path, "bad2.json",
+                      quaternionic_body(3, 2, triangle, 3, [[1], [1], [2]]))
+    good2 = write_json(tmp_path, "good2.json",
+                       quaternionic_body(3, 2, triangle, 3, [[1], [2], [3]]))
+    unsupported = write_json(tmp_path, "square.json",
+                             quaternionic_body(4, 2, square, 4, [[1], [2], [3], [4]]))
+    one = ("validation failure: invalid functor: "
+           "faces [1] and [2] share the isotropy class ((1,),)\n")
+    three = ("validation failure: invalid functor: faces [1] and [2] share the isotropy "
+             "class ((1,),); labels of facets [1, 2] overlap: rank 1 < 2; faces [1, 3] and "
+             "[2, 3] share the isotropy class ((1,), (2,))\n")
+    for first, second, want in [(bad1, bad2, one), (bad2, bad1, three),
+                                ("corpus:hp1-hopf", bad2, three), (good2, bad2, three),
+                                (bad2, good2, three), ("corpus:hp2", bad1, one)]:
+        assert run(capsys, "compare", first, second) == (2, "", want), (first, second)
+    # a valid first functor over a base with no presentation fails before the second
+    unsupported_base = ("validation failure: no degree-4 presentation for this base; a "
+                        "combinatorial class formula is not available, supply one explicitly\n")
+    assert run(capsys, "compare", unsupported, bad1) == (2, "", unsupported_base)
+    assert run(capsys, "compare", bad1, unsupported) == (2, "", one)
+
+
+def solve_counts(monkeypatch):
+    """det and Smith-form calls, each tagged with whether a pair was being
+    solved (inside `charpair.solved_form`) when it was made."""
+    inside = [False]
+    calls = []
+
+    def solving(*args, fn=charpair.solved_form):
+        inside[0] = True
+        try:
+            return fn(*args)
+        finally:
+            inside[0] = False
+    for module in (classify, cohomology, bundles):
+        monkeypatch.setattr(module, "solved_form", solving)
+    for name in ("det", "smith_normal_form"):
+        def record(*args, fn=getattr(intlat, name), name=name, **kwargs):
+            calls.append((name, inside[0]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(intlat, name, record)
+    return calls
+
+
+def test_valid_pairs_are_solved_without_determinants_or_smith_forms(
+        capsys, tmp_path, monkeypatch):
+    calls = solve_counts(monkeypatch)
+    paths = [write_json(tmp_path, f"pair{k}.json", pair_body(p, [lam.column(i) for i in
+                                                                 range(1, lam.m + 1)]))
+             for k, (p, lam) in enumerate(pairgen.seeded_pairs())]
+    for path in paths + ["corpus:hirzebruch-1", "corpus:cp1-cubed"]:
+        for argv in (["cohomology", path], ["chern", path], ["chern", "--diagnostics", path],
+                     ["compare", path, path]):
+            calls.clear()
+            # cohomology may still meet the greedy-basis fault after the solve
+            assert run(capsys, *argv)[0] == 0 or argv[0] == "cohomology", argv
+            assert ("det", True) not in calls and ("smith_normal_form", True) not in calls
+            assert ("det", False) not in calls, argv
+            if argv[0] == "chern":  # the kernel basis keeps its one Smith form
+                assert calls == [("smith_normal_form", False)], argv
+            if argv[0] == "compare":
+                assert calls == [], argv
+    # an invalid pair still builds the report, whose vertex determinants word it
+    bad = write_json(tmp_path, "bad.json",
+                     pair_body(pairgen.polygon(4), [[2, 0], [0, 1], [-1, 1], [0, -1]]))
+    calls.clear()
+    assert run(capsys, "cohomology", bad)[0] == 2
+    assert ("det", True) in calls
 
 
 def pair_body(poly, cols):

@@ -43,7 +43,7 @@ RECORDS = [
      {"classes": [cohomology.CohomologyClass(2, (1,))], "basis_flag": True,
       "contracted_classes": []}),
     (bundles.H4Presentation, {"free_rank": 1, "torsion": [3], "facet_class_coords": [[1]]}),
-    (bundles.QuaternionicPrimaryTuple, {"classes": [[1]], "base_dim": 4}),
+    (bundles.QuaternionicPrimaryTuple, {"classes": [[1]], "base_dim": 4, "source": None}),
     (classify.EquivalenceCertificate, {"delta": [[1]], "sigma": (1,), "signs": (-1,)}),
     (classify.RigidityVerdict,
      {"level": classify.LEVEL_EQUIVALENT, "certificate": CERT,
