@@ -4,11 +4,11 @@ The cohomology of a quasitoric manifold is presented as the face ring of
 the dual complex (one generator per facet, monomial relations from the
 minimal non-faces) modulo the linear relations read off the rows of the
 characteristic matrix.  Components are computed degreewise by exact
-integer linear algebra on monomial spanning sets: sparse elimination on
-+-1 pivots where every column allows one, a Smith form of the degree's
-relations otherwise.  The pair's solved form (`charpair.solved_form`)
-eliminates the generators of its anchor vertex, so that all
-coefficients stay integral.
+integer linear algebra on monomial spanning sets: sparse elimination of
+the degree's relations on +-1 pivots (`intlat.unit_pivots`), and a Smith
+form of only the rows it leaves.  The pair's solved form
+(`charpair.solved_form`) eliminates the generators of its anchor vertex,
+so that all coefficients stay integral.
 """
 
 from itertools import combinations_with_replacement
@@ -146,80 +146,49 @@ def _relations(pres, t, monomials):
     return rows
 
 
-def _unit_pivot_basis(relations, monomials):
-    """Basis and reduction table by elimination on +-1 pivots alone.
+def _monomial_basis(relations, monomials, degree):
+    """Monomial basis and reduction table of the degree's quotient.
 
-    Columns are taken from the last monomial to the first, each pivot
-    cleared from the other unpivoted rows.  If every column with an entry
-    gets a +-1 pivot, the quotient is free on the non-pivot monomials and
-    each pivot row writes its monomial over earlier ones, so the basis is
-    the one the graded-lex walk of `_smith_basis` picks and the table is
-    the same canonical map.  Returns None at the first column whose
-    entries are nonzero but none of them +-1.
+    `intlat.unit_pivots` pivots each relation at its last monomial, so each
+    pivot row writes its monomial over earlier ones; back-substitution gives
+    the class of every monomial over the non-pivot monomials.  With no rows
+    left those are the basis, the one the graded-lex walk below would pick.
+    Otherwise the quotient is that of the non-pivot monomials by the rows
+    left, and only they go to a Smith form.
     """
-    rows = [dict(row) for row in relations]
-    live = {}                  # column -> rows that may have an entry there
-    for i, row in enumerate(rows):
-        for c in row:
-            live.setdefault(c, set()).add(i)
-    pivots = {}                # column -> its pivot row, scaled to 1 there
-    for j in reversed(range(len(monomials))):
-        hits = [i for i in live.pop(j, ()) if rows[i].get(j)]
-        if not hits:
-            continue
-        units = [i for i in hits if rows[i][j] in (1, -1)]
-        if not units:
-            return None
-        p = min(units, key=lambda i: (len(rows[i]), i))
-        prow, rows[p] = rows[p], {}
-        pivots[j] = prow if prow[j] == 1 else {c: -x for c, x in prow.items()}
-        for i in hits:
-            if i == p:
-                continue
-            row, f = rows[i], rows[i][j]
-            for c, x in pivots[j].items():
-                y = row.get(c, 0) - f * x
-                if y:
-                    row[c] = y
-                    live.setdefault(c, set()).add(i)
-                else:
-                    del row[c]
-    basis = [j for j in range(len(monomials)) if j not in pivots]
-    classes = []               # class of monomial j over the basis
+    pivots, left = intlat.unit_pivots(relations)
+    free = [j for j in range(len(monomials)) if j not in pivots]
+    classes = []  # class of monomial j over the non-pivot monomials
     for j in range(len(monomials)):
-        cls = [int(j == k) for k in basis]
+        cls = [int(j == k) for k in free]
         for c, x in pivots.get(j, {}).items():
             if c != j:
                 cls = [a - x * b for a, b in zip(cls, classes[c])]
         classes.append(cls)
-    return [monomials[j] for j in basis], intlat.transpose(classes)
-
-
-def _smith_basis(relations, monomials, degree):
-    """Basis and reduction table from a Smith form of the relations; the
-    path for components where some column has no +-1 pivot."""
-    size = len(monomials)
-    dense = [[row.get(c, 0) for c in range(size)] for row in relations]
-    snf = intlat.smith_normal_form(dense or [[0] * size], u=False)
+    table = intlat.transpose(classes)
+    if not left:
+        return [monomials[j] for j in free], table
+    snf = intlat.smith_normal_form([[row.get(j, 0) for j in free] for row in left], u=False)
     factors = snf.invariant_factors()
     if any(d > 1 for d in factors):
         raise IntegrityError(f"degree-{degree} component has torsion")
-    # rows of `free` vanish on the relations: they map the class of a
-    # monomial vector to its coordinates in the free quotient Z^r
-    free = [[row[j] for row in snf.v] for j in range(len(factors), size)]
-    r = len(free)
+    # rows of `quotient` vanish on the rows left: they map the class of a
+    # monomial to its coordinates in the free quotient Z^r
+    quotient = [[row[j] for row in snf.v] for j in range(len(factors), len(free))]
+    images = intlat.mat_mul(quotient, table)
+    r = len(images)
     # Basis walk in graded-lex order.  `inv` holds the columns of a
     # unimodular matrix taking the kept classes to the first unit vectors,
     # so a monomial keeps them a direct summand iff the rest of its image
     # has gcd 1; `inv` is then changed to take it to the next unit vector.
-    # At rank r it is the inverse of the basis, and `inv @ free` reduces.
+    # At rank r it is the inverse of the basis, and `inv @ images` reduces.
     inv = intlat.identity(r)
     basis = []
     for j, mono in enumerate(monomials):
         k = len(basis)
         if k == r:
             break
-        img = [sum(row[j] * x for row, x in zip(free, col)) for col in inv]
+        img = [sum(row[j] * x for row, x in zip(images, col)) for col in inv]
         if gcd(*img[k:]) != 1:
             continue
         for c in range(k + 1, r):      # Euclid: gather the gcd into column k
@@ -234,7 +203,7 @@ def _smith_basis(relations, monomials, degree):
     if len(basis) != r:
         raise IntegrityError(
             f"no unimodular monomial basis found for degree {degree}")
-    return basis, intlat.mat_mul(inv, free)
+    return basis, intlat.mat_mul(inv, images)
 
 
 def _build_component(pres, degree):
@@ -244,8 +213,7 @@ def _build_component(pres, degree):
     t = degree // pres.generator_degree
     monomials = _monomials(len(pres.kept), t)
     relations = _relations(pres, t, monomials)
-    basis, table = (_unit_pivot_basis(relations, monomials)
-                    or _smith_basis(relations, monomials, degree))
+    basis, table = _monomial_basis(relations, monomials, degree)
     return GradedComponent(
         degree=degree, monomials=monomials,
         invariants=intlat.AbelianGroupInvariants(len(basis), []),

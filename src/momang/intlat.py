@@ -1,10 +1,11 @@
 """Exact integer-lattice linear algebra.
 
-Smith and Hermite normal forms, saturated kernel bases, primitivity and
-unimodularity tests.  Everything here is arbitrary-precision integer
-arithmetic on plain list-of-lists matrices (or dict rows, for invariant
-factors); no floating point is used anywhere (normal-form pivots can blow
-up intermediate values well past machine range).
+Smith and Hermite normal forms, sparse +-1 elimination, saturated kernel
+bases, primitivity and unimodularity tests.  Everything here is
+arbitrary-precision integer arithmetic on plain list-of-lists matrices (or
+dict rows, for the sparse elimination and invariant factors); no floating
+point is used anywhere (normal-form pivots can blow up intermediate values
+well past machine range).
 """
 
 from math import prod
@@ -215,38 +216,41 @@ def smith_normal_form(mat, *, u=True, v=True):
     return SmithDecomposition(u=left, d=a, v=right)
 
 
-def invariant_factors(mat):
-    """Nonzero diagonal of the Smith form, without the transform matrices.
+def unit_pivots(rows):
+    """Sparse elimination on pivots of absolute value 1.
 
-    Rows are dense lists or sparse {column: entry} dicts.  Each pivot of
-    absolute value 1 splits off a factor 1 and leaves its Schur complement
-    (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001); only the
-    rows left without one go to the dense Smith form.
+    Rows are {column: entry} dicts whose column keys are comparable.  Each
+    row is pivoted at its largest column when the entry there is +-1, and
+    that column is cleared from every row not yet pivoted; the rows passed
+    over are visited again while the last pass pivoted.  Returns
+    {column: pivot row, scaled to 1 there} and the nonzero rows left, which
+    have no entry in a pivot column.  The input rows are not changed.
     """
-    if len({len(row) for row in mat if not isinstance(row, dict)}) > 1:
-        raise ShapeError("ragged matrix")
-    rows = [dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
-            for row in mat]
-    holders = {}  # column -> rows with a nonzero entry there
+    rows = [dict(row) for row in rows]
+    holders = {}  # column -> rows not yet pivoted with a nonzero entry there
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
-    factors, left, kept = [], None, list(range(len(rows)))
-    while kept != left:  # another pass over the rows kept while the last one pivoted
-        left, kept = kept, []
+    pivots, kept, done = {}, list(range(len(rows))), None
+    while done != len(pivots):  # another pass while the last one pivoted
+        done, left, kept = len(pivots), kept, []
         for i in left:
             row = rows[i]
-            col = next((j for j, x in row.items() if x == 1 or x == -1), None)
-            if col is None:
+            if not row:
+                continue
+            col = max(row)
+            sign = row[col]
+            if sign != 1 and sign != -1:
                 kept.append(i)
                 continue
-            factors.append(1)
             for j in row:
                 holders[j].discard(i)
-            sign = row.pop(col)
+            if sign == -1:
+                row = {j: -x for j, x in row.items()}
+            del row[col]
             for r in holders.pop(col):
                 target = rows[r]
-                factor = target.pop(col) * sign
+                factor = target.pop(col)
                 for j, x in row.items():
                     y = target.get(j, 0) - factor * x
                     if y:
@@ -255,10 +259,29 @@ def invariant_factors(mat):
                     else:
                         del target[j]
                         holders[j].discard(r)
-    residual = [[rows[i].get(j, 0) for j in holders if holders[j]] for i in left if rows[i]]
-    if residual:
-        factors += smith_normal_form(residual, u=False, v=False).invariant_factors()
-    return factors
+            row[col] = 1
+            pivots[col] = row
+    return pivots, [rows[i] for i in kept if rows[i]]
+
+
+def invariant_factors(mat):
+    """Nonzero diagonal of the Smith form, without the transform matrices.
+
+    Rows are dense lists or sparse {column: entry} dicts; the column keys
+    of a row must be comparable, since `unit_pivots` pivots a row at its
+    largest column.  Each pivot of absolute value 1 splits off a factor 1
+    and leaves its Schur complement (Dumas, Saunders and Villard, J.
+    Symbolic Comput. 32, 2001); only the rows left without one go to the
+    dense Smith form.
+    """
+    if len({len(row) for row in mat if not isinstance(row, dict)}) > 1:
+        raise ShapeError("ragged matrix")
+    pivots, left = unit_pivots(row if isinstance(row, dict) else
+                               {j: x for j, x in enumerate(row) if x} for row in mat)
+    cols = list(dict.fromkeys(j for row in left for j in row))
+    residual = [[row.get(j, 0) for j in cols] for row in left]
+    return [1] * len(pivots) + (
+        smith_normal_form(residual, u=False, v=False).invariant_factors() if residual else [])
 
 
 def kernel_basis(mat):

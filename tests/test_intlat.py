@@ -229,6 +229,50 @@ def test_unit_pivots_leave_only_the_residual_to_the_smith_form(monkeypatch):
     assert seen == [[[2, 0], [0, 4]]]
 
 
+def unit_pivot_cases():
+    """Seeded sparse rows: the dense cases above, and rows keyed by vertex
+    masks as the homology blocks build them, zero rows among them."""
+    cases = [sparse_rows(m) for m in invariant_factor_cases()]
+    rng = random.Random(2718)
+    for _ in range(150):
+        masks = rng.sample(range(1, 1 << 7), rng.randint(1, 12))
+        rows = [{mask: rng.choice([-2, -1, -1, 1, 1, 3]) for mask in
+                 rng.sample(masks, rng.randint(0, min(4, len(masks))))}
+                for _ in range(rng.randint(0, 10))]
+        cases.append(rows + [{}] * rng.randint(0, 2))
+    return cases
+
+
+def dense_over(rows, cols):
+    return [[row.get(j, 0) for j in cols] for row in rows]
+
+
+def test_unit_pivots_split_the_rows_into_pivots_and_a_residual():
+    for rows in unit_pivot_cases():
+        given = [dict(row) for row in rows]
+        pivots, left = intlat.unit_pivots(rows)
+        assert rows == given
+        for col, row in pivots.items():
+            assert row[col] == 1 and max(row) == col, rows
+        assert all(left) and not any(j in pivots for row in left for j in row), rows
+        cols = sorted({j for row in rows for j in row})
+        rest = intlat.smith_normal_form(dense_over(left, cols), u=False, v=False)
+        whole = intlat.smith_normal_form(dense_over(rows, cols), u=False, v=False)
+        assert [1] * len(pivots) + rest.invariant_factors() == whole.invariant_factors(), rows
+        assert intlat.hermite_row_form(dense_over(list(pivots.values()) + left, cols)) == \
+            intlat.hermite_row_form(dense_over(rows, cols)), rows
+
+
+def test_a_row_waits_for_the_pivot_that_clears_its_largest_column():
+    # x + 2y pivots only after y = 0 clears its 2; a zero row is dropped
+    assert intlat.unit_pivots([{0: 1, 1: 2}, {}, {1: -1}]) == ({1: {1: 1}, 0: {0: 1}}, [])
+    # the largest column decides: 2 at column 1 keeps the row, though column 0 holds 1
+    assert intlat.unit_pivots([{0: 1, 1: 2}]) == ({}, [{0: 1, 1: 2}])
+    # mask keys: the face {0, 2} (mask 0b101) is the larger column
+    assert intlat.unit_pivots([{0b011: 1, 0b101: -1}, {0b101: 2, 0b110: 2}]) == \
+        ({0b101: {0b011: -1, 0b101: 1}}, [{0b011: 2, 0b110: 2}])
+
+
 def test_kernel_basis_randomized():
     rng = random.Random(99)
     for trial in range(100):
