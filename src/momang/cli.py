@@ -230,10 +230,13 @@ def cmd_homology(args):
     return EXIT_OK
 
 
-def _require_pair(obj):
-    if "polytope" not in obj or "characteristic" not in obj:
-        raise InputError("input must contain a polytope and a characteristic matrix")
-    return parse_polytope(obj["polytope"]), parse_characteristic(obj["characteristic"])
+def _require_pair(obj, key="characteristic"):
+    """The polytope and the characteristic matrix, or the functor, of an input."""
+    what, parse = {"characteristic": ("a characteristic matrix", parse_characteristic),
+                   "functor": ("a functor", parse_functor)}[key]
+    if "polytope" not in obj or key not in obj:
+        raise InputError(f"input must contain a polytope and {what}")
+    return parse_polytope(obj["polytope"]), parse(obj[key])
 
 
 def cmd_cohomology(args):
@@ -292,11 +295,7 @@ def _parse_coeffs(text, r, m):
 
 
 def cmd_qprimary(args):
-    obj = load_input(args.input)
-    if "polytope" not in obj or "functor" not in obj:
-        raise InputError("input must contain a polytope and a functor")
-    p = parse_polytope(obj["polytope"])
-    f = parse_functor(obj["functor"])
+    p, f = _require_pair(load_input(args.input), "functor")
     b = _parse_coeffs(args.coeffs, p.facet_count - p.dim, p.facet_count)
     tup = bundles.quaternionic_primary_tuple(p, f, b)
     emit({"classes": tup.classes, "base_dim": tup.base_dim}, args.format)
@@ -312,10 +311,8 @@ def cmd_compare(args):
         p2, l2 = _require_pair(obj2)
         verdict = classify.rigidity_verdict_complex(p1, l1, p2, l2, bound=args.budget)
     elif kinds == {(False, True)}:
-        p1 = parse_polytope(obj1["polytope"])
-        f1 = parse_functor(obj1["functor"])
-        p2 = parse_polytope(obj2["polytope"])
-        f2 = parse_functor(obj2["functor"])
+        p1, f1 = _require_pair(obj1, "functor")
+        p2, f2 = _require_pair(obj2, "functor")
         b1 = _parse_coeffs(args.coeffs, p1.facet_count - p1.dim, p1.facet_count)
         b2 = _parse_coeffs(args.coeffs2 or args.coeffs, p2.facet_count - p2.dim,
                            p2.facet_count)

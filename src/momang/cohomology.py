@@ -177,20 +177,29 @@ def _monomial_basis(relations, monomials, degree):
     quotient = [[row[j] for row in snf.v] for j in range(len(factors), len(free))]
     images = intlat.mat_mul(quotient, table)
     r = len(images)
-    # Basis walk in graded-lex order.  `inv` holds the columns of a
-    # unimodular matrix taking the kept classes to the first unit vectors,
-    # so a monomial keeps them a direct summand iff the rest of its image
-    # has gcd 1; `inv` is then changed to take it to the next unit vector.
-    # At rank r it is the inverse of the basis, and `inv @ images` reduces.
-    inv = intlat.identity(r)
+    # Basis walk in graded-lex order, depth first.  `inv` holds the columns
+    # of a unimodular matrix taking the kept classes to the first unit
+    # vectors, so a monomial keeps them a direct summand iff the rest of its
+    # image has gcd 1; a copy of `inv` is then changed to take it to the next
+    # unit vector.  A dead end backs up to the next monomial that passes.
+    # At rank r `inv` is the inverse of the basis, and `inv @ images` reduces.
+    walk = [(intlat.identity(r), 0)]  # per level: inv, next monomial to try
     basis = []
-    for j, mono in enumerate(monomials):
+    while len(basis) < r:
+        inv, start = walk.pop()
         k = len(basis)
-        if k == r:
-            break
-        img = [sum(row[j] * x for row, x in zip(images, col)) for col in inv]
-        if gcd(*img[k:]) != 1:
+        for j in range(start, len(monomials) + k - r + 1):  # r - k still to take
+            img = [sum(row[j] * x for row, x in zip(images, col)) for col in inv]
+            if gcd(*img[k:]) == 1:
+                break
+        else:
+            if not basis:
+                raise IntegrityError(
+                    f"no unimodular monomial basis found for degree {degree}")
+            basis.pop()
             continue
+        walk.append((inv, j + 1))
+        inv = list(inv)
         for c in range(k + 1, r):      # Euclid: gather the gcd into column k
             while img[c]:
                 q = img[k] // img[c]
@@ -199,11 +208,9 @@ def _monomial_basis(relations, monomials, degree):
         inv[k] = [img[k] * x for x in inv[k]]
         for c in range(k):
             inv[c] = [x - img[c] * y for x, y in zip(inv[c], inv[k])]
-        basis.append(mono)
-    if len(basis) != r:
-        raise IntegrityError(
-            f"no unimodular monomial basis found for degree {degree}")
-    return basis, intlat.mat_mul(inv, images)
+        walk.append((inv, j + 1))
+        basis.append(monomials[j])
+    return basis, intlat.mat_mul(walk[-1][0], images)
 
 
 def _build_component(pres, degree):

@@ -8,11 +8,12 @@ complex, discs on sigma, spheres on J - sigma and base points elsewhere,
 of dimension |sigma| + c|J|.  The boundary keeps J, so the model splits
 into one block per J, the augmented simplicial chain complex of the full
 subcomplex K_J shifted by c|J| (Hochster's formula); both flavors share
-every block and differ only in the shift.
+every block and differ only in the shift.  The block of a face is exact,
+so only the reduced blocks of non-faces carry homology.
 """
 
 from collections import Counter
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .combinatorics import enumerate_faces
 from .intlat import AbelianGroupInvariants, invariant_factors
@@ -87,28 +88,27 @@ class HomologyProfile:
 def homology(k, flavor, budget=None):
     """Integral homology of the model from the elimination of each block.
 
-    Walking each face sigma of K with each J containing it keeps the faces
-    of K_J by size, but only for a J that is not a face.  Their boundary,
-    one sparse row per face keyed by the masks of its facets, drops the
-    vertex at position p of sigma with sign (-1)^p, which differs from the
-    Koszul sign of the product complex by a sign change of each cell and
-    leaves every invariant factor as it is.  Two levels are counted: onto
-    the empty face the rank is 1, and from the edges onto the vertices it
-    is the vertices less the components of K_J, every factor 1.  A block
-    whose J is a face is the augmented chain complex of a simplex, which
-    is exact: it has C(j, s) cells of degree s + c*j and, out of each
-    s >= 1, a boundary of rank C(j - 1, s - 1) with every invariant factor
-    1, so it is counted, not built.  The empty J keeps its Z in degree 0.
+    Only a J that is not a face is listed: the block of a face is the
+    augmented chain complex of a simplex, exact.  Walking each nonempty
+    face sigma of K with each J containing it keeps the faces of K_J by
+    size.  Their boundary, one sparse row per face keyed by the masks of
+    its facets, drops the vertex at position p of sigma with sign (-1)^p,
+    which differs from the Koszul sign of the product complex by a sign
+    change of each cell and leaves every invariant factor as it is.  The
+    augmentation has rank 1, so it is folded into the vertices: |J| - 1
+    cells, no rank.  From the edges onto the vertices the rank is the
+    vertices less the components of K_J, every factor 1.  The empty J
+    keeps its Z in degree 0; the top cell is (sigma, [m]), sigma maximal.
     """
     shift = _sphere_dim(flavor)
     m = k.vertex_count
     limit = HOMOLOGY_BUDGET if budget is None else budget
     if m > limit:
         raise BudgetError(f"homology limited to m <= {limit} vertices, got {m}", limit)
-    faces = [()] + [f for level in enumerate_faces(k) for f in level]
+    by_size = enumerate_faces(k)
     # a vertex set is a mask with bit i for vertex i; each J containing
     # sigma is sigma joined to a non-empty subset of the other vertices
-    masks = {face: sum(1 << v for v in face) for face in faces}
+    masks = {face: sum(1 << v for v in face) for level in by_size for face in level}
     is_face = set(masks.values())
     vertices = (1 << (m + 1)) - 2
     blocks = {}  # mask of a J that is not a face -> size -> faces of K_J
@@ -121,30 +121,26 @@ def homology(k, flavor, budget=None):
                 blocks.setdefault(block, {}).setdefault(len(face), []).append(face)
             extra = (extra - 1) & rest
 
-    cells = Counter()  # degree -> cells
+    cells = Counter({0: 1})  # degree -> cells; the empty J is Z in degree 0
     ranks = Counter()  # degree -> rank of the boundary out of that degree
     torsion = {}       # degree -> invariant factors > 1 of that boundary
-    for face in faces:
-        j = len(face)
-        for size in range(j + 1):
-            cells[size + shift * j] += comb(j, size)
-            ranks[size + shift * j] += comb(j - 1, size - 1) if size else 0
     for block, levels in blocks.items():
         base = shift * block.bit_count()
         for size, level in levels.items():
-            cells[size + base] += len(level)
             if size == 1:
-                ranks[1 + base] += 1
-            elif size == 2:
+                cells[1 + base] += len(level) - 1
+                continue
+            cells[size + base] += len(level)
+            if size == 2:
                 ranks[2 + base] += _forest_rank(level)
-            elif size:
+            else:
                 found = invariant_factors(
                     [{masks[face] ^ (1 << v): -1 if pos % 2 else 1 for pos, v in enumerate(face)}
                      for face in level])
                 ranks[size + base] += len(found)
                 torsion.setdefault(size + base, []).extend(x for x in found if x > 1)
     groups = {}
-    for deg in range(max(cells) + 1):
+    for deg in range(len(by_size) + shift * m + 1):
         free = cells[deg] - ranks[deg] - ranks[deg + 1]
         groups[deg] = AbelianGroupInvariants(free, _merge_torsion(torsion.get(deg + 1, [])))
     return HomologyProfile(groups, sum((-1) ** deg * n for deg, n in cells.items()))

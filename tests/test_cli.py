@@ -284,6 +284,15 @@ def test_compare_rejects_a_top_level_value_that_is_not_an_object(capsys, tmp_pat
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_compare_of_a_functor_without_a_polytope_is_an_input_error(capsys, tmp_path, first):
+    path = write_json(tmp_path, "q.json", {"functor": HP1_HOPF["functor"]})
+    pair = [path, "corpus:hp1-hopf"] if first else ["corpus:hp1-hopf", path]
+    code, out, err = run(capsys, "compare", *pair)
+    assert (code, out) == (1, "")
+    assert err == "input error: input must contain a polytope and a functor\n"
+
+
 @pytest.mark.parametrize("obj", [
     {"m": 3, "maximal_faces": [[True, 2], [2, 3], [1, 3]]},
     {"m": 3, "maximal_faces": [[1, 2.0], [2, 3], [1, 3]]},
@@ -647,8 +656,7 @@ def test_valid_pairs_are_solved_without_determinants_or_smith_forms(
         for argv in (["cohomology", path], ["chern", path], ["chern", "--diagnostics", path],
                      ["compare", path, path]):
             calls.clear()
-            # cohomology may still meet the greedy-basis fault after the solve
-            assert run(capsys, *argv)[0] == 0 or argv[0] == "cohomology", argv
+            assert run(capsys, *argv)[0] == 0, argv
             assert ("det", True) not in calls and ("smith_normal_form", True) not in calls
             assert ("det", False) not in calls, argv
             if argv[0] == "chern":  # the kernel basis keeps its one Smith form

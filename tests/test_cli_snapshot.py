@@ -65,9 +65,9 @@ def residual_inputs():
     """Named pairs whose graded components leave rows for a Smith form: the
     hexagon; blown-up polygons drawn as in
     `test_blown_up_polygons_have_unimodular_bases`, with a residual in
-    degree 4; the seeded pairs with a residual, the Delta^2 x Delta^2 tower
-    of the greedy-basis fault among them; and disguised Delta^2 x Delta^2
-    towers, two of which meet that fault too."""
+    degree 4; the seeded pairs with a residual; and disguised Delta^2 x
+    Delta^2 towers.  Seeded pair 11 and towers 2 and 5 are those on which
+    a greedy basis walk, with no backing up, meets a dead end in degree 6."""
     inputs = [("hexagon", pair_body(pairgen.polygon(6), HEXAGON))]
     rng = random.Random(2024)
     for trial in range(60):

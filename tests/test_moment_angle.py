@@ -158,7 +158,9 @@ def test_rp2_torsion_matches_global_smith_form(flavor, degree):
 @pytest.mark.parametrize("flavor", [ma.COMPLEX, ma.QUATERNIONIC])
 def test_simplex_blocks_skip_the_smith_form(flavor):
     # every non-empty block of the full simplex, and every proper one of
-    # its boundary, is an exact simplex block and is counted, not reduced
+    # its boundary, is an exact simplex block and is never listed; the
+    # boundary keeps one block, J = [m], whose augmentation is folded into
+    # its vertices
     for m in range(1, 8):
         full = simplicial_complex(m, [range(1, m + 1)])
         cases = [full] if m == 1 else [full, simplex_dual(m - 1)]
