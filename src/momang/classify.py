@@ -174,7 +174,12 @@ def equivalent_pairs(p, lam, lam2, bound=DEFAULT_SEARCH_BOUND):
 
 
 def compare_kernel_bundles(t, t2):
-    """True iff the two tuples generate the same sublattice of degree 2."""
+    """True iff the two tuples generate the same sublattice of degree 2.
+
+    Every tuple of `bundles.kernel_chern_classes` is a Z-basis of H^2, so
+    its Hermite form is the identity: on two such tuples this is True
+    exactly when their m - n agree, and raises IncomparableError otherwise.
+    """
     m1 = t.coordinate_matrix()
     m2 = t2.coordinate_matrix()
     w1 = {len(row) for row in m1} or {0}
@@ -193,8 +198,9 @@ def rigidity_verdict_complex(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     listed; the certificate's `sigma` is a facet bijection from the first
     polytope to the second as given.  Without a certificate, the pair is
     incomparable iff a first-hit search finds no isomorphism at all.
-    Equivalent pairs carry equal kernel-bundle sublattices, so
-    `bundle_report` states that without a recheck.
+    `bundle_report["equal_sublattice"]` is True exactly when a
+    certificate was found: it states the verdict and compares no lattice
+    (every kernel tuple spans all of H^2, so no comparison could differ).
     """
     cert = _certificate_search(p, lam, p2, lam2, bound)
     if cert is not None:

@@ -98,6 +98,10 @@ class SimplePolytopeData:
             missing = sorted(set(range(1, m + 1)) - covered)
             raise ValidationError(f"facets {missing} contain no vertex")
         self.neighbours = _check_connected(self, _check_pseudomanifold(self))
+        # a ridge-connected 2-pseudomanifold is a 2-sphere iff chi = m - V/2 = 2
+        if n == 3 and 2 * m - len(self.vertices) != 4:
+            raise ValidationError(f"dual complex has Euler characteristic "
+                                  f"{m - len(self.vertices) // 2}, expected 2 for a 2-sphere")
 
     @property
     def m(self):
@@ -132,14 +136,23 @@ def _check_connected(p, ridge_pairs):
     for a, b in ridge_pairs:
         adj[a].append(b)
         adj[b].append(a)
-    seen, stack = {p.vertices[0]}, [p.vertices[0]]
-    while stack:
-        new = [w for w in adj[stack.pop()] if w not in seen]
-        seen.update(new)
-        stack += new
-    if len(seen) != len(p.vertices):
+    if _forest_rank(ridge_pairs) != len(p.vertices) - 1:
         raise ValidationError("dual complex is not connected")
     return adj
+
+
+def _forest_rank(edges):
+    """Rank of a graph's edges-onto-vertices boundary: the merging edges."""
+    parent, merges = {}, 0
+    for u, v in edges:
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            merges += 1
+    return merges
 
 
 def dual_complex(p):

@@ -119,47 +119,34 @@ def smith_normal_form(mat, *, u=True, v=True):
     Deterministic for a fixed input: pivots are chosen as the smallest
     nonzero absolute value, ties broken by position, so the scan stops at
     the first entry of absolute value 1.
+
+    The transforms ride along as identity blocks of one matrix: with u,
+    each input row carries its row of I_rows on its right, and with v, the
+    rows of I_cols sit below the input.  Row operations on the input rows
+    then build u, and column operations on the input columns build v; d,
+    u and v are sliced out at the end.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if any(len(row) != cols for row in mat):
         raise ShapeError("ragged matrix")
-    a = copy_matrix(mat)
-    left = identity(rows) if u else None
-    right = identity(cols) if v else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
+    a = [row + e for row, e in zip(mat, identity(rows) if u else [[]] * rows)]
+    a += identity(cols) if v else []
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if right is not None:
-            for row in right:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        if left is not None:
-            left[dst] = [x + factor * y for x, y in zip(left[dst], left[src])]
 
     def add_col(src, dst, factor):
         for row in a:
             row[dst] += factor * row[src]
-        if right is not None:
-            for row in right:
-                row[dst] += factor * row[src]
 
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        best = 0
+    for t in range(min(rows, cols)):
+        pivot, best = None, 0
         for i in range(t, rows):
             for j in range(t, cols):
                 x = abs(a[i][j])
-                if x and (pivot is None or x < best):
+                if x and (not best or x < best):
                     pivot, best = (i, j), x
                     if x == 1:
                         break
@@ -167,53 +154,39 @@ def smith_normal_form(mat, *, u=True, v=True):
                 break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         while True:
-            restart = False
             for i in range(t + 1, rows):
                 if a[i][t] != 0:
                     q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t] != 0:
-                        swap_rows(t, i)
-                        restart = True
+                        a[t], a[i] = a[i], a[t]
                         break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # enforce the divisibility chain: d_t must divide the rest
-            if abs(a[t][t]) == 1:
-                break
-            offender = None
-            for i in range(t + 1, rows):
+            else:
                 for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
+                    if a[t][j] != 0:
+                        add_col(t, j, -(a[t][j] // a[t][t]))
+                        if a[t][j] != 0:
+                            swap_cols(t, j)
+                            break
+                else:
+                    # enforce the divisibility chain: d_t must divide the rest
+                    if abs(a[t][t]) == 1:
                         break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        t += 1
+                    offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                                     if a[i][j] % a[t][t] != 0), None)
+                    if offender is None:
+                        break
+                    a[t] = [x + y for x, y in zip(a[t], a[offender])]
 
     # nonnegative diagonal; sign absorbed into u
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            if left is not None:
-                left[i] = [-x for x in left[i]]
-    return SmithDecomposition(u=left, d=a, v=right)
+    return SmithDecomposition(u=[row[cols:] for row in a[:rows]] if u else None,
+                              d=[row[:cols] for row in a[:rows]], v=a[rows:] if v else None)
 
 
 def unit_pivots(rows):
@@ -332,24 +305,19 @@ def hermite_row_form(mat):
     for col in range(ncols):
         if pivot_row == nrows:
             break
-        while True:
-            nonzero = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
-            if not nonzero:
-                break
+        nonzero = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
+        if not nonzero:
+            continue
+        while len(nonzero) > 1:
             best = min(nonzero, key=lambda i: (abs(rows[i][col]), i))
             rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
             p = rows[pivot_row][col]
-            clean = True
             for i in range(pivot_row + 1, nrows):
                 if rows[i][col] != 0:
                     q = rows[i][col] // p
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                    if rows[i][col] != 0:
-                        clean = False
-            if clean:
-                break
-        if rows[pivot_row][col] == 0:
-            continue
+            nonzero = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
+        rows[pivot_row], rows[nonzero[0]] = rows[nonzero[0]], rows[pivot_row]
         if rows[pivot_row][col] < 0:
             rows[pivot_row] = [-x for x in rows[pivot_row]]
         p = rows[pivot_row][col]

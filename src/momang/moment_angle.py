@@ -15,7 +15,7 @@ so only the reduced blocks of non-faces carry homology.
 from collections import Counter
 from math import gcd, lcm
 
-from .combinatorics import enumerate_faces
+from .combinatorics import _forest_rank, enumerate_faces
 from .intlat import AbelianGroupInvariants, invariant_factors
 from .errors import BudgetError, ValidationError
 
@@ -144,20 +144,6 @@ def homology(k, flavor, budget=None):
         free = cells[deg] - ranks[deg] - ranks[deg + 1]
         groups[deg] = AbelianGroupInvariants(free, _merge_torsion(torsion.get(deg + 1, [])))
     return HomologyProfile(groups, sum((-1) ** deg * n for deg, n in cells.items()))
-
-
-def _forest_rank(edges):
-    """Rank of a graph's edges-onto-vertices boundary: the merging edges."""
-    parent, merges = {}, 0
-    for u, v in edges:
-        while u in parent:
-            u = parent[u]
-        while v in parent:
-            v = parent[v]
-        if u != v:
-            parent[u] = v
-            merges += 1
-    return merges
 
 
 def _merge_torsion(orders):

@@ -65,6 +65,17 @@ def test_validate_failure_exit_code(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_validate_rejects_a_torus_polytope(capsys, tmp_path):
+    # the 7-vertex torus {i, i+1, i+3}, {i, i+2, i+3} mod 7: a closed
+    # pseudomanifold with a connected vertex graph, but chi = 0
+    torus = [[(i + a) % 7 + 1 for a in t] for i in range(7) for t in ((0, 1, 3), (0, 2, 3))]
+    path = write_json(tmp_path, "torus.json", {"polytope": {"m": 7, "n": 3, "vertices": torus}})
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == ("validation failure: dual complex has Euler characteristic 0, "
+                   "expected 2 for a 2-sphere\n")
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/input.json")
     assert code == 1

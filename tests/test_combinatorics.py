@@ -65,12 +65,18 @@ SEVEN_VERTEX_TORUS = [[(i + a) % 7 + 1 for a in t] for i in range(7)
                       for t in ((0, 1, 3), (0, 2, 3))]
 
 
-@pytest.mark.xfail(reason="only ridges and connectivity are checked, so the torus "
-                          "passes as a simple 3-polytope; its complex homology then "
-                          "has rank 0 in degree 1 but rank 2 in degree 9")
 def test_polytope_rejects_the_seven_vertex_torus():
-    with pytest.raises(ValidationError):
+    # a closed 2-pseudomanifold has chi = m - V/2; the torus has 7 - 14/2 = 0
+    with pytest.raises(ValidationError, match="Euler characteristic 0, expected 2"):
         comb.simple_polytope(7, 3, SEVEN_VERTEX_TORUS)
+
+
+def test_polytope_rejects_the_six_vertex_projective_plane():
+    # RP^2_6: ten triangles on six vertices, every edge in two, chi = 6 - 5 = 1
+    rp2 = [[1, 2, 4], [1, 3, 4], [1, 3, 5], [1, 2, 6], [1, 5, 6],
+           [2, 3, 5], [2, 3, 6], [2, 4, 5], [3, 4, 6], [4, 5, 6]]
+    with pytest.raises(ValidationError, match="Euler characteristic 1, expected 2"):
+        comb.simple_polytope(6, 3, rp2)
 
 
 def reference_connected(vertices, n):

@@ -142,17 +142,25 @@ def reference_smith_normal_form(mat):
     return u, a, v
 
 
+# edge shapes: no rows, no columns, all zero, one row, one column; with
+# u or v asked for, their identity blocks have zero width or zero height
+SMITH_EDGE_SHAPES = [[], [[], []], [[0, 0, 0], [0, 0, 0]], [[0], [0], [0]],
+                     [[0, 4, -6, 10]], [[2, -1, 3]], [[4], [-6], [0], [10]], [[0], [3], [-1]]]
+
+
 def test_smith_form_matches_full_scan_reference():
     rng = random.Random(515)
+    cases = []
     for trial in range(200):
         rows, cols = rng.randint(1, 8), rng.randint(1, 10)
         if trial % 2:
             # dense in units: the scan stops at the first +-1
-            m = random_matrix(rng, rows, cols, -1, 1)
+            cases.append(random_matrix(rng, rows, cols, -1, 1))
         else:
             # no unit entry: every pivot comes from the full scan
-            m = [[rng.choice([0, 2, -2, 3, -3, 4, 6, -9, 10]) for _ in range(cols)]
-                 for _ in range(rows)]
+            cases.append([[rng.choice([0, 2, -2, 3, -3, 4, 6, -9, 10]) for _ in range(cols)]
+                          for _ in range(rows)])
+    for m in cases + SMITH_EDGE_SHAPES:
         ref_u, ref_d, ref_v = reference_smith_normal_form(m)
         snf = intlat.smith_normal_form(m)
         assert (snf.u, snf.d, snf.v) == (ref_u, ref_d, ref_v), m
