@@ -5,12 +5,13 @@ the other by a unimodular base change, an isomorphism of the dual
 complexes, and per-facet signs.  The search anchors on a fixed vertex:
 once both matrices are written in the basis of their anchor columns,
 the base change is a diagonal sign matrix, and it and the facet signs
-are solved for in closed form.  The validation of the second pair
+are solved for in closed form.  The validation of each pair
 (`charpair.solved_form`) already writes it in the basis of every one of
-its vertices; those normal forms also prune the isomorphism search
-entry by entry, so the dual-complex symmetries are never listed.  Kernel
-bundles are compared as sublattices of the degree-2 component, which is
-exactly equivalence up to reparametrizing the kernel torus.
+its vertices.  The rows of those normal forms colour the facets, and the
+isomorphism search tries only maps that keep the colours, so the
+dual-complex symmetries are never listed.  Kernel bundles are compared
+as sublattices of the degree-2 component, which is exactly equivalence
+up to reparametrizing the kernel torus.
 """
 
 from collections import Counter
@@ -102,61 +103,37 @@ def _solve_signs(n1, n2):
     return e, s
 
 
-def _abs_keys(form):
-    """Per facet f of a normal form given as facet -> row: sorted |row f|
-    where the form has that row, sorted |column f| elsewhere."""
-    cols = list(zip(*form.values()))
-    return {f: tuple(sorted(map(abs, form[f] if f in form else cols[f - 1])))
-            for f in range(1, len(cols) + 1)}
+def _facet_colours(forms, m):
+    """Per facet i of a pair whose normal forms `forms` are keyed by
+    vertex: the sorted |row i| of N_v over the vertices v through i, sorted."""
+    colours = [[] for _ in range(m)]
+    for form in forms.values():
+        for f, row in form.items():
+            colours[f - 1].append(tuple(sorted(map(abs, row))))
+    return [sorted(c) for c in colours]
 
 
 def _certificate_search(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     """First certificate carrying lam onto lam2, in increasing order of sigma.
 
-    With M1 the columns of lam at the anchor vertex (the lexicographically
-    first) and M2 their images, any certificate has delta = M2.E.M1^-1
-    for a diagonal sign matrix E, so the normal forms N = M^-1.lam satisfy
-    E.N1[:, i] = s_i.N2[:, sigma(i)]; `_solve_signs` finds E and s for a
-    complete sigma.  The search prunes on what that forces in absolute
-    value: the vertex w of the anchor's images needs the sorted |columns|
-    of N1 as a multiset, an anchor facet maps into w onto a row with its
-    sorted |row| and any other facet outside w onto a column with its
-    sorted |column|; once w and the row order are fixed, every column
-    must match entry by entry.  Both pairs are validated first, the first
-    pair first.
+    A certificate lam2 = delta.lam.P_sigma.D carries the normal form
+    N_v = M_v^-1.lam at each vertex v onto N2 at sigma(v) up to the order
+    and signs of rows and columns: N2[sigma(i)][sigma(j)] = +-N_v[i][j].
+    So it keeps each facet's colour (`_facet_colours`), and the search
+    tries only the colour-preserving isomorphisms, in increasing order.
+    At a leaf, with M1 the columns of lam at the anchor vertex (the
+    lexicographically first) and w its image, delta = M2.E.M1^-1 for a
+    diagonal sign matrix E, and E.N1[:, i] = s_i.N_w[:, sigma(i)];
+    `_solve_signs` finds E and s or rejects sigma.  Both pairs are
+    validated first, the first pair first.
     """
-    form1, m1_inv, _ = solved_form(p, lam)
+    form1, m1_inv, normal1 = solved_form(p, lam)
     _, _, normal = solved_form(p2, lam2)
-    last = max(form1)  # the last anchor facet
-    placed = [0] * (lam.m + 1)
-    alive = [None] * (lam.m + 1)  # vertices of p2 still open after placing facet i
-
-    def same_abs_column(form, i, c):
-        return all(abs(form[placed[a]][c - 1]) == abs(row[i - 1])
-                   for a, row in form1.items())
-
-    def admit(i, c):
-        placed[i] = c
-        if i > last:
-            return same_abs_column(normal[alive[last][0]], i, c)
-        alive[i] = [w for w in alive[i - 1]
-                    if (c in w) == (i in form1) and keys[w][c] == keys1[i]]
-        if i < last or not alive[i]:
-            return bool(alive[i])
-        return all(same_abs_column(normal[alive[i][0]], j, placed[j])
-                   for j in range(1, last) if j not in form1)
-
-    # built first, so that the budget is checked before the keys
-    search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound, admit)
+    colours = (_facet_colours(normal1, lam.m), _facet_colours(normal, lam2.m))
     n1 = list(form1.values())
-    keys1 = _abs_keys(form1)
-    keys = {w: _abs_keys(form) for w, form in normal.items()}
-    shape = sorted(k for i, k in keys1.items() if i not in form1)
-    alive[0] = [w for w in normal
-                if sorted(k for c, k in keys[w].items() if c not in w) == shape]
-    for sigma in search:
+    for sigma in _isomorphism_search(dual_complex(p), dual_complex(p2), bound, colours):
         image = [sigma[i - 1] for i in form1]
-        form = normal[alive[last][0]]
+        form = normal[frozenset(image)]
         n2 = [[row[j - 1] for j in sigma] for row in map(form.get, image)]
         solved = _solve_signs(n1, n2)
         if solved is None:
@@ -193,9 +170,9 @@ def rigidity_verdict_complex(p, lam, p2, lam2, bound=DEFAULT_SEARCH_BOUND):
     """Full verdict for two complex inputs.
 
     Equivalent iff some isomorphism of the dual complexes admits an
-    equivalence certificate.  One pruned search over the isomorphisms, in
-    increasing order, stops at the first that does, so no isomorphism is
-    listed; the certificate's `sigma` is a facet bijection from the first
+    equivalence certificate.  One search over the isomorphisms that keep
+    the facet colours, in increasing order, stops at the first that does,
+    so no isomorphism is listed; the certificate's `sigma` is a facet bijection from the first
     polytope to the second as given.  Without a certificate, the pair is
     incomparable iff a first-hit search finds no isomorphism at all.
     `bundle_report["equal_sublattice"]` is True exactly when a
@@ -230,8 +207,9 @@ def _functors_match(p, f, p2, f2, bound=DEFAULT_SEARCH_BOUND):
     pi(label_i) = label'_sigma(i) for every facet exists exactly when both
     sides have the same multiset of membership signatures; with equal
     universes, the coordinates in no label match automatically.  A pi keeps
-    label sizes, so only size-preserving sigma are tried; over a simplex
-    boundary (m >= 3) valid labels are disjoint and the first one decides.
+    label sizes, so they colour the facets and only size-preserving sigma
+    are tried; over a simplex boundary (m >= 3) valid labels are disjoint
+    and the first one decides.
     """
     if f.n_act != f2.n_act:
         return False
@@ -239,9 +217,8 @@ def _functors_match(p, f, p2, f2, bound=DEFAULT_SEARCH_BOUND):
     size = [len(f.label(i)) for i in range(1, m + 1)]
     size2 = [len(f2.label(c)) for c in range(1, p2.facet_count + 1)]
     # built first, so that the budget is checked on every call
-    search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound,
-                                 lambda i, c: size[i - 1] == size2[c - 1])
-    if sorted(size) != sorted(size2):
+    search = _isomorphism_search(dual_complex(p), dual_complex(p2), bound, (size, size2))
+    if sorted(size) != sorted(size2):  # the search yields nothing; build no signatures
         return False
     want = _signatures([f.label(i) for i in range(1, m + 1)])
     return any(_signatures([f2.label(iso[i - 1]) for i in range(1, m + 1)]) == want

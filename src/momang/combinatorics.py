@@ -211,26 +211,33 @@ def minimal_non_faces(k):
     return k._non_faces
 
 
-def _isomorphism_search(k1, k2, bound, admit=None):
-    """Iterator over `isomorphisms(k1, k2)`, by backtracking over vertex
-    images in increasing order; the budget is checked before any node.
+def _isomorphism_search(k1, k2, bound, colours=None):
+    """Iterator over the colour-preserving `isomorphisms(k1, k2)`, by
+    backtracking over vertex images in increasing order; the budget is
+    checked before any node.
 
     A bijection is an isomorphism iff it carries the minimal non-faces of
     k1 onto those of k2.  So placing v -> c checks that each one of k1
     whose largest vertex is v maps onto one of k2, and that no other one
     of k2 through c lies inside the images (equal counts), so that each of
-    those pulls back onto one of k1.  Last, a caller's `admit(v, c)` may
-    reject that extension.
+    those pulls back onto one of k1.  With `colours = (colours1, colours2)`,
+    vertex v of k1 (colour colours1[v-1]) tries only the c of k2 whose
+    colour colours2[c-1] is equal, and nothing is yielded when the sorted
+    colour lists differ.
     """
     m = k1.vertex_count
     if m > bound:
         raise BudgetError(f"automorphism search limited to {bound} vertices, got {m}", bound)
     nf1, nf2 = minimal_non_faces(k1), minimal_non_faces(k2)
-    if k2.vertex_count != m or list(map(len, nf1)) != list(map(len, nf2)):
+    # one colour per vertex, so unequal vertex counts never match either
+    colours1, colours2 = colours or ([0] * m, [0] * k2.vertex_count)
+    if list(map(len, nf1)) != list(map(len, nf2)) or sorted(colours1) != sorted(colours2):
         return iter(())
     masks = [sum(1 << c for c in g) for g in nf2]
     closing = [[f for f in nf1 if f[-1] == v] for v in range(m + 1)]
     through = [[g for g in masks if g >> c & 1] for c in range(m + 1)]
+    options = [None] + [[c for c in range(1, m + 1) if colours2[c - 1] == colour]
+                        for colour in colours1]
     targets = set(masks)
     image = [0] * (m + 1)  # 1-based; read only at a leaf
     bit = [0] * (m + 1)  # bit[v] == 1 << image[v]
@@ -240,14 +247,13 @@ def _isomorphism_search(k1, k2, bound, admit=None):
             yield tuple(image[1:])
             return
         closed = closing[vertex]
-        for cand in range(1, m + 1):
+        for cand in options[vertex]:
             now = placed | 1 << cand
             if now == placed:  # cand is an image already
                 continue
             image[vertex], bit[vertex] = cand, 1 << cand
             if (all(sum(map(bit.__getitem__, f)) in targets for f in closed)
-                    and len([g for g in through[cand] if g & now == g]) == len(closed)
-                    and (admit is None or admit(vertex, cand))):
+                    and len([g for g in through[cand] if g & now == g]) == len(closed)):
                 yield from extend(vertex + 1, now)
 
     return extend(1, 0)

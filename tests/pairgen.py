@@ -7,7 +7,7 @@ calls the search code under test.
 import random
 from itertools import combinations, product
 
-from momang.charpair import from_columns
+from momang.charpair import from_columns, validate_characteristic_pair
 from momang.combinatorics import simple_polytope, simplicial_complex
 
 
@@ -98,6 +98,15 @@ def disguise(rng, p, cols):
     rng.shuffle(perm)
     q, cols = relabel(p, cols, perm)
     return q, from_columns(cols)
+
+
+def sign_sibling(rng, p, cols):
+    """The pair with the signs of some entries flipped, still valid: the
+    same entries in absolute value, so only the signs can tell it apart."""
+    while True:
+        flipped = [[-x if x and rng.random() < 0.3 else x for x in col] for col in cols]
+        if flipped != cols and validate_characteristic_pair(p, from_columns(flipped)).valid:
+            return flipped
 
 
 def seeded_pairs():

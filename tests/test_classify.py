@@ -5,8 +5,7 @@ import pytest
 
 import pairgen
 from momang import bundles, classify, intlat
-from momang.charpair import (from_columns, isotropy_functor,
-                             validate_characteristic_pair,
+from momang.charpair import (from_columns, isotropy_functor, solved_form,
                              validate_quaternionic_functor)
 from momang.combinatorics import (automorphisms, dual_complex, isomorphisms,
                                   simple_polytope)
@@ -228,23 +227,18 @@ def reference_certificate_search(p, lam, lam2, sigmas):
     return None
 
 
-def sign_sibling(rng, p, cols):
-    """The pair with the signs of some entries flipped, still valid: the
-    same entries in absolute value, so only the signs can tell it apart."""
-    while True:
-        flipped = [[-x if x and rng.random() < 0.3 else x for x in col] for col in cols]
-        if flipped != cols and validate_characteristic_pair(p, from_columns(flipped)).valid:
-            return flipped
-
-
 PAIR_FAMILIES = {
     "square": (pairgen.cube(2), lambda r: pairgen.staged_columns(r, [1, 1], twist=3)),
     "prism": (pairgen.simplex_product([1, 2]),
               lambda r: pairgen.staged_columns(r, [1, 2])),
     "d1xd3": (pairgen.simplex_product([1, 3]),
               lambda r: pairgen.staged_columns(r, [1, 3])),
+    "d1xd4": (pairgen.simplex_product([1, 4]),
+              lambda r: pairgen.staged_columns(r, [1, 4])),
     "d2xd2": (pairgen.simplex_product([2, 2]),
               lambda r: pairgen.staged_columns(r, [2, 2])),
+    "d2xd3": (pairgen.simplex_product([2, 3]),
+              lambda r: pairgen.staged_columns(r, [2, 3])),
     "3-cube": (pairgen.cube(3), lambda r: pairgen.staged_columns(r, [1, 1, 1])),
     "4-cube": (pairgen.cube(4), lambda r: pairgen.staged_columns(r, [1] * 4)),
     "5-cube": (pairgen.cube(5), lambda r: pairgen.staged_columns(r, [1] * 5)),
@@ -252,16 +246,17 @@ PAIR_FAMILIES = {
     "7-gon": (pairgen.polygon(7), lambda r: pairgen.polygon_columns(r, 7)),
 }
 UNTWISTED = {f"untwisted {n}-cube": n for n in range(1, 6)}
+FAMILIES = sorted(PAIR_FAMILIES) + sorted(UNTWISTED)
 # (disguised copies, siblings of each kind) per family; the seed search
 # tries 2^n signs on each of |Aut| = 2^n n! isomorphisms before it calls
 # a pair inequivalent, too slow for many siblings over the 4- and 5-cube
 TRIALS = {"4-cube": (2, 1), "5-cube": (1, 0)}
 
 
-@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES) + sorted(UNTWISTED))
-def test_certificate_search_matches_the_seed_search(family):
-    # each pair against disguised copies of itself, of a twisted sibling
-    # and of a sibling with flipped signs
+def family_trials(family):
+    """(p, lam, q, lam2, copy) for each trial of a family: a pair against a
+    disguised copy of itself (copy true), of a twisted sibling or of a
+    sibling with flipped signs."""
     rng = random.Random(family)
     if family in UNTWISTED:
         n = UNTWISTED[family]
@@ -270,7 +265,6 @@ def test_certificate_search_matches_the_seed_search(family):
     else:
         p, make = PAIR_FAMILIES[family]
         copies, siblings = TRIALS.get(family, (4, 4))
-    outcomes = []
     for trial in range(copies + 2 * siblings):
         cols = make(rng)
         if trial < copies:
@@ -278,9 +272,15 @@ def test_certificate_search_matches_the_seed_search(family):
         elif trial % 2:
             other = make(rng)
         else:
-            other = sign_sibling(rng, p, cols)
+            other = pairgen.sign_sibling(rng, p, cols)
         q, lam2 = pairgen.disguise(rng, p, other)
-        lam = from_columns(cols)
+        yield p, from_columns(cols), q, lam2, trial < copies
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_certificate_search_matches_the_seed_search(family):
+    outcomes = []
+    for trial, (p, lam, q, lam2, copy) in enumerate(family_trials(family)):
         cert = classify._certificate_search(p, lam, q, lam2)
         isos = isomorphisms(dual_complex(p), dual_complex(q))
         want = reference_certificate_search(p, lam, lam2, isos)
@@ -289,10 +289,59 @@ def test_certificate_search_matches_the_seed_search(family):
             assert (cert.delta, cert.sigma, cert.signs) == (
                 want.delta, want.sigma, want.signs), trial
             assert cert.apply(lam).rows() == lam2.rows()
-        outcomes.append(cert is not None)
-    assert all(outcomes[:copies])
-    if siblings:
-        assert not all(outcomes), "no inequivalent sibling was drawn"
+        outcomes.append((copy, cert is not None))
+    assert all(found for copy, found in outcomes if copy)
+    siblings = [found for copy, found in outcomes if not copy]
+    assert not siblings or not all(siblings), "no inequivalent sibling was drawn"
+
+
+def facet_colours(p, lam):
+    return classify._facet_colours(solved_form(p, lam)[2], lam.m)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_certificates_keep_the_facet_colours(family):
+    # a certificate maps each facet onto one of the same colour, so the
+    # search loses no certificate by trying only such facets
+    found = 0
+    for p, lam, q, lam2, _ in family_trials(family):
+        colours, colours2 = facet_colours(p, lam), facet_colours(q, lam2)
+        cert = classify._certificate_search(p, lam, q, lam2)
+        if cert is not None:
+            assert [colours2[c - 1] for c in cert.sigma] == colours
+            found += 1
+    assert found
+
+
+def test_the_sign_solve_still_rejects_colour_preserving_maps(monkeypatch):
+    # the colours bound only |entries|, so some sigma that keeps them has
+    # no signs (14 over the cube families), and the leaf check must run
+    rejected = []
+    solve = classify._solve_signs
+
+    def counted(n1, n2):
+        solved = solve(n1, n2)
+        rejected.append(solved is None)
+        return solved
+
+    monkeypatch.setattr(classify, "_solve_signs", counted)
+    for family in FAMILIES:
+        for p, lam, q, lam2, _ in family_trials(family):
+            classify._certificate_search(p, lam, q, lam2)
+    assert any(rejected)
+
+
+def test_equal_colour_multisets_leave_the_verdict_to_the_search():
+    # a hexagon pair and a sign sibling whose facet colours agree as
+    # multisets (4 of 468 inequivalent pairs in a seeded scan): the colours
+    # alone cannot part them, and no colour-preserving isomorphism exists
+    p = pairgen.polygon(6)
+    lam = from_columns([[1, 0], [1, 1], [0, 1], [-1, -1], [0, -1], [1, -1]])
+    lam2 = from_columns([[1, 0], [1, -1], [0, 1], [-1, -1], [0, 1], [1, -1]])
+    colours, colours2 = facet_colours(p, lam), facet_colours(p, lam2)
+    assert colours != colours2 and sorted(colours) == sorted(colours2)
+    assert classify._certificate_search(p, lam, p, lam2) is None
+    assert reference_certificate_search(p, lam, lam2, automorphisms(dual_complex(p))) is None
 
 
 def test_quaternionic_verdicts_base_dim_four():

@@ -696,14 +696,17 @@ def assert_certificate_carries(out, cols1, cols2):
     assert applied.rows() == cli.parse_characteristic({"columns": cols2}).rows()
 
 
+def minors(cols):
+    """The multiset of |maximal minors|, which every certificate keeps."""
+    n = len(cols[0])
+    return sorted(abs(intlat.det([[c[r] for c in sub] for r in range(n)]))
+                  for sub in combinations(cols, n))
+
+
 def cube_pair_files(tmp_path, n, seed, equivalent, twist=2):
     """A Bott tower over the n-cube and a disguised copy of it, or of a
     tower with a different |minor| multiset; twist=0 is the untwisted
     tower, the product of projective lines."""
-    def minors(cols):
-        return sorted(abs(intlat.det([[c[r] for c in sub] for r in range(n)]))
-                      for sub in combinations(cols, n))
-
     rng = random.Random(seed)
     p = pairgen.cube(n)
     first = pairgen.staged_columns(rng, [1] * n, twist)
@@ -753,6 +756,34 @@ def test_compare_simplex_product_towers_inside_the_default_budget(capsys, tmp_pa
             assert_certificate_carries(out, cols, cols2)
         else:
             assert json.loads(out)["level"] == "inequivalent"
+
+
+@pytest.mark.parametrize("twist", [1, 2])
+def test_compare_d5xd5_towers_inside_the_default_budget(capsys, tmp_path, twist):
+    # generalized Bott towers over Delta^5 x Delta^5 (m = 12, |Aut| =
+    # 2 (6!)^2), even trials against an independent tower, odd ones against
+    # a sign sibling, each disguised; an equivalent verdict is checked by
+    # its certificate, an inequivalent one by unequal |minor| multisets
+    rng = random.Random(f"d5xd5 {twist}")
+    p = pairgen.simplex_product([5, 5])
+    codes = []
+    for trial in range(6):
+        cols = pairgen.staged_columns(rng, [5, 5], twist)
+        other = (pairgen.sign_sibling(rng, p, cols) if trial % 2
+                 else pairgen.staged_columns(rng, [5, 5], twist))
+        q, lam2 = pairgen.disguise(rng, p, other)
+        cols2 = [lam2.column(i) for i in range(1, lam2.m + 1)]
+        a = write_json(tmp_path, "a.json", pair_body(p, cols))
+        b = write_json(tmp_path, "b.json", pair_body(q, cols2))
+        code, out, err = run(capsys, "compare", a, b)
+        if code == 0:
+            assert_certificate_carries(out, cols, cols2)
+        else:
+            assert code == 3, (trial, err)
+            assert json.loads(out)["level"] == "inequivalent"
+            assert minors(cols) != minors(cols2), trial
+        codes.append(code)
+    assert 0 in codes and 3 in codes, codes
 
 
 def test_compare_mixed_flavors(capsys):
